@@ -1,10 +1,11 @@
 // Command hvconform runs the HTML parser conformance corpus: html5lib
 // .dat tree-construction and .test tokenizer fixtures, a skiplist with
 // mandatory reasons, and the per-ErrorCode coverage gate against the
-// internal/core spec-coverage ledger.
+// internal/core spec-coverage ledger. Each corpus directory's
+// findings.json pins the full-catalogue checker report of every case.
 //
 //	hvconform                  # run the default corpus, fail on any divergence
-//	hvconform -update          # regenerate golden sections from observed behavior
+//	hvconform -update          # regenerate golden sections and findings.json from observed behavior
 //	hvconform -summary -       # print the markdown coverage table (CI step summary)
 //
 // Exit status is non-zero when any case fails, an emitted ErrorCode has

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 
+	"github.com/hvscan/hvscan/internal/core"
 	"github.com/hvscan/hvscan/internal/htmlparse"
 )
 
@@ -86,7 +87,10 @@ type Runner struct {
 	// input the parser rejects outright still fail.
 	Update bool
 
-	report Report
+	report  Report
+	checker *core.Checker
+	// golden is the FindingsFile of the directory being run.
+	golden *findingsGolden
 }
 
 // NewRunner returns a Runner with the given skiplist (nil means empty).
@@ -94,7 +98,7 @@ func NewRunner(skips *Skiplist) *Runner {
 	if skips == nil {
 		skips = &Skiplist{reasons: map[string]string{}, used: map[string]bool{}}
 	}
-	return &Runner{Skips: skips, report: Report{Coverage: NewCoverage()}}
+	return &Runner{Skips: skips, report: Report{Coverage: NewCoverage()}, checker: core.NewChecker()}
 }
 
 // Report finalizes and returns the aggregated report.
@@ -112,6 +116,9 @@ func (r *Runner) RunTreeDir(dir string) (updated map[string]string, err error) {
 		return nil, err
 	}
 	updated = map[string]string{}
+	if r.golden, err = loadFindings(dir); err != nil {
+		return nil, err
+	}
 	for _, path := range files {
 		cases, err := ParseDatFile(path)
 		if err != nil {
@@ -127,7 +134,7 @@ func (r *Runner) RunTreeDir(dir string) (updated map[string]string, err error) {
 			updated[path] = FormatDat(cases)
 		}
 	}
-	return updated, nil
+	return updated, r.finishFindings(updated)
 }
 
 // runTree executes one tree-construction case, recording the verdict.
@@ -153,6 +160,7 @@ func (r *Runner) runTree(c *TreeCase) bool {
 		gotErrs[i] = string(e.Code)
 	}
 	gotDump := htmlparse.DumpTree(res.Doc)
+	findingsDiff := r.checkFindings(c.ID(), r.checker.CheckParsed(&core.Page{Result: res}), nil)
 	if r.Update {
 		c.Errors = gotErrs
 		c.Document = strings.TrimSuffix(gotDump, "\n")
@@ -167,6 +175,9 @@ func (r *Runner) runTree(c *TreeCase) bool {
 	if want, got := normalizeDump(c.Document), normalizeDump(gotDump); want != got {
 		problems = append(problems,
 			fmt.Sprintf("tree diverges:\n--- want ---\n%s\n--- got ---\n%s", want, got))
+	}
+	if findingsDiff != "" {
+		problems = append(problems, findingsDiff)
 	}
 	if len(problems) > 0 {
 		r.record(c.ID(), Fail, strings.Join(problems, "\n"))
@@ -192,6 +203,9 @@ func (r *Runner) RunTokenDir(dir string) (updated map[string]string, err error) 
 		return nil, err
 	}
 	updated = map[string]string{}
+	if r.golden, err = loadFindings(dir); err != nil {
+		return nil, err
+	}
 	for _, path := range files {
 		cases, err := ParseTestFile(path)
 		if err != nil {
@@ -211,7 +225,32 @@ func (r *Runner) RunTokenDir(dir string) (updated map[string]string, err error) 
 			updated[path] = content
 		}
 	}
-	return updated, nil
+	return updated, r.finishFindings(updated)
+}
+
+// finishFindings closes a directory run: with Update it adds the
+// regenerated FindingsFile to updated; otherwise every pinned entry no
+// case reached fails as stale, so deleted cases cannot leave findings
+// pinned that nothing checks.
+func (r *Runner) finishFindings(updated map[string]string) error {
+	if r.Update {
+		content, err := r.golden.render()
+		if err != nil {
+			return err
+		}
+		updated[r.golden.path] = content
+		return nil
+	}
+	for _, id := range r.golden.stale() {
+		r.record(id, Fail, "pinned findings for a case that no longer runs (run hvconform -update)")
+	}
+	return nil
+}
+
+// checkFindings runs the full catalogue over one case and compares the
+// report with the directory's pinned findings.
+func (r *Runner) checkFindings(id string, rep *core.Report, err error) string {
+	return r.golden.verify(id, pinReport(rep, err))
 }
 
 // runToken executes one tokenizer case, recording the verdict. It
@@ -226,6 +265,8 @@ func (r *Runner) runToken(c *TokenCase) bool {
 		r.record(c.ID(), Fail, fmt.Sprintf("tokenizer rejected input: %v", err))
 		return false
 	}
+	rep, cerr := r.checker.Check([]byte(c.Input))
+	findingsDiff := r.checkFindings(c.ID(), rep, cerr)
 	record := func() {
 		for _, e := range gotErrs {
 			r.report.Coverage.RecordCode(htmlparse.ErrorCode(e.Code))
@@ -249,6 +290,9 @@ func (r *Runner) runToken(c *TokenCase) bool {
 	}
 	if d := diffErrors(c.Errors, gotErrs); d != "" {
 		problems = append(problems, d)
+	}
+	if findingsDiff != "" {
+		problems = append(problems, findingsDiff)
 	}
 	if len(problems) > 0 {
 		r.record(c.ID(), Fail, strings.Join(problems, "\n"))

@@ -147,6 +147,55 @@ func TestRunnerTokenOutcomes(t *testing.T) {
 	}
 }
 
+// TestRunnerFindingsGolden pins the checker reports of a directory:
+// -update writes them, a plain run passes on them, and a changed
+// finding, a missing entry or a stale entry each fail.
+func TestRunnerFindingsGolden(t *testing.T) {
+	dir := t.TempDir()
+	writeCorpusFile(t, dir, "a.dat", `#data
+<p id=a id=b>x
+#errors
+#document
+`)
+	run := func(update bool) *Report {
+		t.Helper()
+		r := NewRunner(nil)
+		r.Update = update
+		updated, err := r.RunTreeDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for path, content := range updated {
+			writeCorpusFile(t, filepath.Dir(path), filepath.Base(path), content)
+		}
+		return r.Report()
+	}
+	run(true)
+	golden := filepath.Join(dir, FindingsFile)
+	pinned, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(pinned), `"DM3 1:14@13 id"`) {
+		t.Fatalf("golden lacks the DM3 finding:\n%s", pinned)
+	}
+	if rep := run(false); rep.Count(Pass) != 1 || rep.Total() != 1 {
+		t.Fatalf("pinned corpus does not pass: %+v", rep.Results)
+	}
+	for name, content := range map[string]string{
+		"changed finding": strings.Replace(string(pinned), "DM3 1:14@13", "DM3 1:15@14", 1),
+		"missing entry":   "{}",
+		"stale entry":     strings.Replace(string(pinned), "{", `{"gone.dat:1": {"findings": [], "rule_hits": {}, "signals": []},`, 1),
+	} {
+		if err := os.WriteFile(golden, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if rep := run(false); rep.Count(Fail) != 1 {
+			t.Errorf("%s: want one failure, got %+v", name, rep.Results)
+		}
+	}
+}
+
 func TestRunnerCoverageRecording(t *testing.T) {
 	dir := t.TempDir()
 	writeCorpusFile(t, dir, "a.dat", `#data
@@ -214,6 +263,13 @@ func TestCheckedInCorpus(t *testing.T) {
 	}
 	if _, err := r.RunTokenDir("testdata/tokenizer"); err != nil {
 		t.Fatal(err)
+	}
+	// Every corpus directory pins its checker reports; without the file
+	// the runner would check findings nowhere.
+	for _, dir := range []string{"testdata/tree-construction", "../htmlparse/testdata/tree-construction", "testdata/tokenizer"} {
+		if _, err := os.Stat(filepath.Join(dir, FindingsFile)); err != nil {
+			t.Errorf("corpus directory %s pins no findings: %v", dir, err)
+		}
 	}
 	rep := r.Report()
 	for _, c := range rep.Failures() {
