@@ -101,7 +101,10 @@ func Host(rawURL string) string {
 }
 
 // Index is an in-memory CDXJ index with prefix lookup, the shape the
-// Common Crawl index server exposes.
+// Common Crawl index server exposes. Add sorts lazily on the next lookup,
+// so an index that is still being built is not safe for concurrent use;
+// one returned by Read is already sorted, and concurrent lookups on it
+// only read.
 type Index struct {
 	records []*Record // sorted by (SURT, Timestamp)
 	sorted  bool
@@ -167,7 +170,8 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// Read parses a CDXJ stream into an Index.
+// Read parses a CDXJ stream into an Index, sorted before it is returned
+// so that lookups on it never write.
 func Read(r io.Reader) (*Index, error) {
 	ix := &Index{}
 	sc := bufio.NewScanner(r)
@@ -182,5 +186,9 @@ func Read(r io.Reader) (*Index, error) {
 		}
 		ix.Add(rec)
 	}
-	return ix, sc.Err()
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	ix.sort()
+	return ix, nil
 }

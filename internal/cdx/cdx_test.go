@@ -3,6 +3,7 @@ package cdx
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -118,4 +119,42 @@ func TestIndexSerialization(t *testing.T) {
 	if ix2.Len() != 2 {
 		t.Fatalf("read back %d records", ix2.Len())
 	}
+}
+
+// TestReadIndexConcurrentLookups: an index from Read serves lookups from
+// many goroutines at once (a DiskArchive answers concurrent queries off
+// one index), which the race detector only accepts if lookups never
+// write — Read has to hand back an index that is already sorted.
+func TestReadIndexConcurrentLookups(t *testing.T) {
+	src := &Index{}
+	for i, u := range []string{"https://b.example/", "https://a.example/x", "https://a.example/", "https://c.example/"} {
+		src.Add(sampleRecord(u, int64(i)))
+	}
+	var buf bytes.Buffer
+	if _, err := src.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// Reverse the serialized lines so Read sees them out of order.
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	for i, j := 0, len(lines)-1; i < j; i, j = i+1, j-1 {
+		lines[i], lines[j] = lines[j], lines[i]
+	}
+	ix, err := Read(strings.NewReader(strings.Join(lines, "\n")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				if got := ix.LookupPrefix("a.example", 0); len(got) != 2 {
+					t.Errorf("lookup a.example: %d records", len(got))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
