@@ -7,10 +7,11 @@ GO ?= go
 all: build test
 
 # Mirrors .github/workflows/ci.yml so the tier-1 gate is reproducible
-# locally: build, vet, lint, formatting, race-enabled tests, chaos
-# smoke, fuzz smokes.
+# locally: build, vet, lint, formatting, race-enabled tests, the
+# benchmark module's vet and unit tests, chaos smoke, fuzz smokes.
 ci: build vet lint fmt-check
 	$(GO) test -race ./...
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
 	$(MAKE) chaos
 	$(MAKE) serve-chaos
 	$(MAKE) conform
