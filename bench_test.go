@@ -321,7 +321,7 @@ func BenchmarkAblationTokenizerOnly(b *testing.B) {
 	pages := samplePages(16)
 	checker := core.NewStreamingChecker()
 	for i := 0; i < b.N; i++ {
-		if _, err := checker.CheckStream(pages[i%len(pages)]); err != nil {
+		if _, err := checker.Check(pages[i%len(pages)]); err != nil {
 			b.Fatal(err)
 		}
 	}

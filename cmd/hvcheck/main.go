@@ -74,26 +74,26 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	var checker *core.Checker
-	switch {
-	case *rules != "":
-		checker = core.NewChecker(strings.Split(*rules, ",")...)
-	case *stream:
-		checker = core.NewStreamingChecker()
-	default:
-		checker = core.NewChecker()
+	var ids []string
+	if *rules != "" {
+		ids = strings.Split(*rules, ",")
+	}
+	checker := core.NewChecker(ids...)
+	if *stream {
+		// Keep the rules that need no tree, so the check streams.
+		var rs []core.Rule
+		for _, r := range checker.Rules() {
+			if r.Tree == nil {
+				rs = append(rs, r)
+			}
+		}
+		checker = core.NewCheckerWith(rs...)
 	}
 
 	inputs := fs.Args()
 	exit := 0
 	check := func(name string, data []byte) {
-		var rep *core.Report
-		var err error
-		if *stream {
-			rep, err = checker.CheckStream(data)
-		} else {
-			rep, err = checker.Check(data)
-		}
+		rep, err := checker.Check(data)
 		if err == htmlparse.ErrNotUTF8 {
 			fmt.Fprintf(stderr, "hvcheck: %s: skipped (not UTF-8)\n", name)
 			return

@@ -60,17 +60,16 @@ func pinReport(rep *core.Report, err error) pinnedReport {
 // bookkeeping for the verdicts: which entries the run used, and the
 // observed reports that -update writes back.
 type findingsGolden struct {
-	path   string
-	exists bool
-	want   map[string]json.RawMessage
-	used   map[string]bool
-	got    map[string]pinnedReport
+	path string
+	// want is nil when the directory has no FindingsFile.
+	want map[string]json.RawMessage
+	used map[string]bool
+	got  map[string]pinnedReport
 }
 
 func loadFindings(dir string) (*findingsGolden, error) {
 	g := &findingsGolden{
 		path: filepath.Join(dir, FindingsFile),
-		want: map[string]json.RawMessage{},
 		used: map[string]bool{},
 		got:  map[string]pinnedReport{},
 	}
@@ -81,10 +80,10 @@ func loadFindings(dir string) (*findingsGolden, error) {
 	if err != nil {
 		return nil, err
 	}
+	g.want = map[string]json.RawMessage{}
 	if err := json.Unmarshal(raw, &g.want); err != nil {
 		return nil, fmt.Errorf("%s: %w", g.path, err)
 	}
-	g.exists = true
 	return g, nil
 }
 
@@ -93,7 +92,7 @@ func loadFindings(dir string) (*findingsGolden, error) {
 // directory pins nothing).
 func (g *findingsGolden) verify(id string, got pinnedReport) string {
 	g.got[id] = got
-	if !g.exists {
+	if g.want == nil {
 		return ""
 	}
 	g.used[id] = true

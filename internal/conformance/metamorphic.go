@@ -220,11 +220,12 @@ func diffRuleHits(a, b map[string]int) string {
 }
 
 // StreamTreeAgreement checks the streaming checker's central invariant:
-// for every TreeRequired=false rule, checking a document off the raw token
-// stream (no tree construction, O(1) state) yields exactly the findings,
-// rule hits, and signals that the full tree-mode check computes from its
-// recorded tokens. This is what licenses the crawler's -stream mode to
-// report paper-comparable numbers for the streaming rule families.
+// for every rule without a Tree hook, checking a document off the raw
+// token stream (no tree construction, O(1) state) yields exactly the
+// findings and rule hits, and the same signals, that the full-catalogue
+// check computes from the tags its tree builder hands over. This is what
+// licenses the crawler's -stream mode to report paper-comparable numbers
+// for the streaming rule families.
 //
 // hazard reports whether the stream crossed a construct where its
 // tokenizer-feedback mirror is documented as approximate (see
@@ -232,19 +233,24 @@ func diffRuleHits(a, b map[string]int) string {
 // (the checked-in cases are all exact), while the fuzz target treats
 // hazard+divergence as a skip rather than a failure.
 func StreamTreeAgreement(input []byte) (hazard bool, err error) {
-	res, perr := htmlparse.ParseReuse(input)
-	ts, serr := htmlparse.NewTokenStream(input)
-	if (perr == nil) != (serr == nil) {
-		return false, fmt.Errorf("UTF-8 domain disagreement for %q: tree %v, stream %v", input, perr, serr)
+	stream := core.NewStreamingChecker()
+	fullRep, ferr := core.NewChecker().Check(input)
+	streamRep, serr := stream.Check(input)
+	if (ferr == nil) != (serr == nil) {
+		return false, fmt.Errorf("UTF-8 domain disagreement for %q: tree %v, stream %v", input, ferr, serr)
 	}
-	if perr != nil {
+	if ferr != nil {
 		return false, nil // both reject non-UTF-8 input
 	}
-	defer ts.Close()
-	checker := core.NewStreamingChecker()
-	treeRep := checker.CheckParsed(&core.Page{Result: res})
-	streamRep := checker.CheckTokenStream(ts)
+	ts, err := htmlparse.NewTokenStream(input)
+	if err != nil {
+		return false, err
+	}
+	for ts.Next().Type != htmlparse.EOFToken {
+	}
 	hazard = ts.Hazard()
+	ts.Close()
+	treeRep := streamingPart(fullRep, stream)
 	if d := diffRuleHits(treeRep.RuleHits, streamRep.RuleHits); d != "" {
 		return hazard, fmt.Errorf("rule hits diverge for %q:\n%s", input, d)
 	}
@@ -263,6 +269,24 @@ func StreamTreeAgreement(input []byte) (hazard bool, err error) {
 			input, treeRep.Signals, streamRep.Signals)
 	}
 	return hazard, nil
+}
+
+// streamingPart restricts a full-catalogue report to the rules of the
+// streaming checker, in report order: what the streaming check of the
+// same document must reproduce.
+func streamingPart(full *core.Report, stream *core.Checker) *core.Report {
+	out := &core.Report{RuleHits: map[string]int{}, Signals: full.Signals}
+	for _, r := range stream.Rules() {
+		if n := full.RuleHits[r.ID]; n > 0 {
+			out.RuleHits[r.ID] = n
+		}
+	}
+	for _, f := range full.Findings {
+		if out.RuleHits[f.RuleID] > 0 {
+			out.Findings = append(out.Findings, f)
+		}
+	}
+	return out
 }
 
 // win1252 maps bytes 0x80–0x9F to their windows-1252 code points per the

@@ -6,7 +6,6 @@ import (
 
 	"github.com/hvscan/hvscan/internal/autofix"
 	"github.com/hvscan/hvscan/internal/core"
-	"github.com/hvscan/hvscan/internal/htmlparse"
 )
 
 // The repair invariants: properties the validated repair engine
@@ -55,12 +54,11 @@ func FixIdempotence(input []byte) (skipped bool, err error) {
 // every strategy-covered rule at zero, and an Unfixable repair returns
 // the input untouched with no applied fixes.
 func FixMonotonicity(input []byte) (skipped bool, err error) {
-	res, perr := htmlparse.ParseReuse(input)
-	if perr != nil {
+	checker := core.NewChecker()
+	before, cerr := checker.Check(input)
+	if cerr != nil {
 		return true, nil // outside the checker's domain
 	}
-	checker := core.NewChecker()
-	before := checker.CheckParsed(&core.Page{Result: res})
 	r, rerr := autofix.Repair(input)
 	if rerr != nil {
 		return false, fmt.Errorf("parseable input %q was rejected by Repair: %v", input, rerr)
@@ -76,11 +74,10 @@ func FixMonotonicity(input []byte) (skipped bool, err error) {
 		}
 		return false, nil
 	}
-	outRes, perr := htmlparse.ParseReuse(r.Output)
-	if perr != nil {
-		return false, fmt.Errorf("verified repair of %q is not parseable: %v", input, perr)
+	after, cerr := checker.Check(r.Output)
+	if cerr != nil {
+		return false, fmt.Errorf("verified repair of %q is not parseable: %v", input, cerr)
 	}
-	after := checker.CheckParsed(&core.Page{Result: outRes})
 	for _, id := range autofix.StrategyRuleIDs() {
 		if after.RuleHits[id] > 0 {
 			return false, fmt.Errorf("strategy-covered rule %s survives a verified repair of %q (%d hit(s))",

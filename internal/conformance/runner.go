@@ -144,13 +144,9 @@ func (r *Runner) runTree(c *TreeCase) bool {
 		r.record(c.ID(), Skip, reason)
 		return false
 	}
-	var res *htmlparse.Result
-	var err error
-	if c.Fragment != "" {
-		res, err = htmlparse.ParseFragmentReuse([]byte(c.Data), c.Fragment)
-	} else {
-		res, err = htmlparse.ParseReuse([]byte(c.Data))
-	}
+	// One full-catalogue check yields both the parse the goldens diff
+	// and the report the findings golden pins.
+	rep, res, err := r.checker.CheckContext(nil, []byte(c.Data), htmlparse.Options{Context: c.Fragment})
 	if err != nil {
 		r.record(c.ID(), Fail, fmt.Sprintf("parse rejected input: %v", err))
 		return false
@@ -160,7 +156,7 @@ func (r *Runner) runTree(c *TreeCase) bool {
 		gotErrs[i] = string(e.Code)
 	}
 	gotDump := htmlparse.DumpTree(res.Doc)
-	findingsDiff := r.checkFindings(c.ID(), r.checker.CheckParsed(&core.Page{Result: res}), nil)
+	findingsDiff := r.golden.verify(c.ID(), pinReport(rep, nil))
 	if r.Update {
 		c.Errors = gotErrs
 		c.Document = strings.TrimSuffix(gotDump, "\n")
@@ -247,12 +243,6 @@ func (r *Runner) finishFindings(updated map[string]string) error {
 	return nil
 }
 
-// checkFindings runs the full catalogue over one case and compares the
-// report with the directory's pinned findings.
-func (r *Runner) checkFindings(id string, rep *core.Report, err error) string {
-	return r.golden.verify(id, pinReport(rep, err))
-}
-
 // runToken executes one tokenizer case, recording the verdict. It
 // reports whether the case's golden sections were rewritten.
 func (r *Runner) runToken(c *TokenCase) bool {
@@ -266,7 +256,7 @@ func (r *Runner) runToken(c *TokenCase) bool {
 		return false
 	}
 	rep, cerr := r.checker.Check([]byte(c.Input))
-	findingsDiff := r.checkFindings(c.ID(), rep, cerr)
+	findingsDiff := r.golden.verify(c.ID(), pinReport(rep, cerr))
 	record := func() {
 		for _, e := range gotErrs {
 			r.report.Coverage.RecordCode(htmlparse.ErrorCode(e.Code))

@@ -11,7 +11,6 @@ import (
 
 // Report is the outcome of checking one page against the catalogue.
 type Report struct {
-	URL      string
 	Findings []Finding
 	// RuleHits maps rule ID to the number of findings for it.
 	RuleHits map[string]int
@@ -81,10 +80,13 @@ func (r *Report) OnlyAutoFixable() bool {
 // construct with NewChecker.
 type Checker struct {
 	rules []Rule
-	// needTree records whether any configured rule needs the parse tree.
-	// When false, Check routes through the constant-memory streaming path
-	// and never builds a DOM (the two-phase design of ROADMAP item 5).
+	// needTree records whether any configured rule has a Tree hook. When
+	// false, checks run on the constant-memory token stream and never
+	// build a DOM.
 	needTree bool
+	// tokenRules indexes the rules with a Token hook, the only ones
+	// visited per tag.
+	tokenRules []int
 	// hits, when instrumented, holds one counter per rule (parallel to
 	// rules); pages counts every document checked. Both stay nil on an
 	// uninstrumented checker, keeping the hot path a nil check.
@@ -94,9 +96,12 @@ type Checker struct {
 
 func newChecker(rs []Rule) *Checker {
 	c := &Checker{rules: rs}
-	for _, r := range rs {
-		if r.TreeRequired || r.Stream == nil {
+	for i, r := range rs {
+		if r.Tree != nil {
 			c.needTree = true
+		}
+		if r.Token != nil {
+			c.tokenRules = append(c.tokenRules, i)
 		}
 	}
 	return c
@@ -125,13 +130,14 @@ func NewCheckerWith(rules ...Rule) *Checker {
 	return newChecker(rules)
 }
 
-// NewStreamingChecker returns a checker restricted to rules decidable from
-// the tokenizer alone (no tree construction). Used standalone for cheap
-// scans and by the shared-parse ablation benchmark.
+// NewStreamingChecker returns a checker restricted to the catalogue rules
+// without a Tree hook, which it checks off the token stream alone (no
+// tree construction). Used standalone for cheap scans and by the
+// shared-parse ablation benchmark.
 func NewStreamingChecker() *Checker {
 	var rs []Rule
 	for _, r := range Rules() {
-		if !r.TreeRequired {
+		if r.Tree == nil {
 			rs = append(rs, r)
 		}
 	}
@@ -141,10 +147,8 @@ func NewStreamingChecker() *Checker {
 // Rules returns the checker's rule set.
 func (c *Checker) Rules() []Rule { return c.rules }
 
-// NeedsTree reports whether any configured rule requires the parse
-// tree. A false return means Check runs entirely on the constant-
-// memory streaming path; serving layers use this to pick between
-// CheckStreamContext and a depth-capped tree parse.
+// NeedsTree reports whether any configured rule has a Tree hook. A false
+// return means checks run entirely on the constant-memory token stream.
 func (c *Checker) NeedsTree() bool { return c.needTree }
 
 // Instrument registers per-rule hit counters (core_rule_hits_total,
@@ -166,125 +170,109 @@ func (c *Checker) Instrument(reg *obs.Registry) *Checker {
 	return c
 }
 
-// countHits records a page's rule outcomes on the instrumented counters.
-func (c *Checker) countHits(rep *Report) {
-	if c.pages == nil {
-		return
-	}
-	c.pages.Inc()
-	for i, r := range c.rules {
-		if n := rep.RuleHits[r.ID]; n > 0 {
-			c.hits[i].Add(uint64(n))
-		}
-	}
-}
-
-// runRules is the single report-assembly path shared by the tree and the
-// stream modes: it asks findingsFor for each configured rule's findings
-// (in catalogue order, i indexing c.rules), fills RuleHits, attaches the
-// signals, and records the instrumented counters — so the two modes cannot
-// drift in how a Report is put together.
-func (c *Checker) runRules(url string, sig Signals, findingsFor func(i int, r Rule) []Finding) *Report {
-	rep := &Report{URL: url, RuleHits: make(map[string]int, len(c.rules))}
-	for i, rule := range c.rules {
-		fs := findingsFor(i, rule)
-		if len(fs) > 0 {
-			rep.RuleHits[rule.ID] = len(fs)
-			rep.Findings = append(rep.Findings, fs...)
-		}
-	}
-	rep.Signals = sig
-	c.countHits(rep)
-	return rep
-}
-
-// Check checks the document, building a parse tree only if a configured
-// rule needs one: a checker whose rules are all streaming-capable routes
-// through the constant-memory CheckStream path automatically. It returns
+// Check checks the document (see CheckContext). It returns
 // htmlparse.ErrNotUTF8 for documents the pipeline must filter (paper
 // §4.1).
 func (c *Checker) Check(html []byte) (*Report, error) {
-	if !c.needTree {
-		return c.CheckStream(html)
-	}
-	res, err := htmlparse.ParseReuse(html)
-	if err != nil {
-		return nil, err
-	}
-	return c.CheckParsed(&Page{Result: res}), nil
-}
-
-// CheckParsed runs the rules over an already parsed page.
-func (c *Checker) CheckParsed(p *Page) *Report {
-	return c.runRules(p.URL, computeSignals(p), func(_ int, r Rule) []Finding {
-		return r.Check(p)
-	})
-}
-
-// CheckStream tokenizes without tree construction and runs the streaming
-// rule subset in O(1) token memory: no token slice is accumulated, and
-// each rule holds constant per-document state. Tree-required rules in the
-// checker's set are skipped.
-func (c *Checker) CheckStream(html []byte) (*Report, error) {
-	ts, err := htmlparse.NewTokenStream(html)
-	if err != nil {
-		return nil, err
-	}
-	rep := c.CheckTokenStream(ts)
-	ts.Close()
-	return rep, nil
-}
-
-// CheckStreamContext is CheckStream bounded by ctx: the token loop
-// polls the context between batches, so a request deadline or a client
-// disconnect interrupts the check mid-document instead of letting a
-// hostile body hold a worker. On cancellation it returns ctx's error
-// and no report.
-func (c *Checker) CheckStreamContext(ctx context.Context, html []byte) (*Report, error) {
-	ts, err := htmlparse.NewTokenStream(html)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := c.checkTokenStream(ctx, ts)
-	ts.Close()
+	rep, _, err := c.CheckContext(nil, html, htmlparse.Options{})
 	return rep, err
 }
 
-// CheckTokenStreamContext is CheckTokenStream bounded by ctx (see
-// CheckStreamContext); the caller still owns closing ts.
-func (c *Checker) CheckTokenStreamContext(ctx context.Context, ts *htmlparse.TokenStream) (*Report, error) {
-	return c.checkTokenStream(ctx, ts)
-}
-
-// CheckTokenStream drives the streaming rules over an open token stream.
-// The report is fully assembled before returning — findings never alias
-// the stream's recycled scratch — so the caller may Close the stream
-// immediately after (CheckStream does; the conformance runner keeps it
-// open long enough to read Hazard).
-func (c *Checker) CheckTokenStream(ts *htmlparse.TokenStream) *Report {
-	rep, _ := c.checkTokenStream(nil, ts)
-	return rep
-}
-
-// cancelStride is how many tokens the streaming checker processes
+// cancelStride is how many tokens the streaming source processes
 // between context polls; mirrors the tree builder's stride.
 const cancelStride = 512
 
-// checkTokenStream is the single streaming implementation; ctx may be
-// nil for the uncancellable path (no polling, no overhead).
-func (c *Checker) checkTokenStream(ctx context.Context, ts *htmlparse.TokenStream) (*Report, error) {
-	streams := make([]RuleStream, len(c.rules))
-	found := make([][]Finding, len(c.rules))
-	emits := make([]func(Finding), len(c.rules))
-	for i, r := range c.rules {
-		if r.Stream == nil {
-			continue
+// CheckContext checks the document in one pass over it. Every tag the
+// tokenizer emits goes to the Token hooks and the page signals as it is
+// read; the Error hooks then run over the parse errors, the Tree hooks
+// over the finished parse, and the findings are assembled rule by rule
+// in the checker's order.
+//
+// The source follows from the rule set. When some rule has a Tree hook
+// (or opts.Context asks for a fragment parse) the tags come from the
+// tree builder's OnTag, and the Result is returned with the report; the
+// checker sets opts.OnTag itself, so a caller's hook is replaced. Otherwise
+// the tags come from a constant-memory htmlparse.TokenStream, no tree is
+// built, opts.MaxTreeDepth has nothing to bound, and the Result is nil.
+//
+// ctx bounds the check: both sources poll it between token batches, so a
+// request deadline or a client disconnect interrupts a hostile document
+// mid-way, and the check returns ctx's error and no report. A nil ctx
+// never cancels.
+func (c *Checker) CheckContext(ctx context.Context, html []byte, opts htmlparse.Options) (*Report, *htmlparse.Result, error) {
+	p := c.newPass()
+	if !c.needTree && opts.Context == "" {
+		if err := p.stream(ctx, html); err != nil {
+			return nil, nil, err
 		}
-		streams[i] = r.Stream()
-		i := i
-		emits[i] = func(f Finding) { found[i] = append(found[i], f) }
+		return p.report(), nil, nil
 	}
-	var sig Signals
+	opts.OnTag = p.tag
+	res, err := htmlparse.ParseReuseContext(ctx, html, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	p.errors(res.Errors)
+	for i := range c.rules {
+		if tree := c.rules[i].Tree; tree != nil {
+			p.cur = i
+			tree(res, p.emit)
+		}
+	}
+	return p.report(), res, nil
+}
+
+// pass is the per-document state of one check over the checker's rules:
+// the findings each rule has emitted so far (parallel to rules) and the
+// signals.
+type pass struct {
+	*Checker
+	found [][]Finding
+	// cur indexes the rule whose hook is running; emit, the one emit
+	// func every hook is handed, files findings under it.
+	cur  int
+	emit func(Finding)
+	sig  Signals
+}
+
+func (c *Checker) newPass() *pass {
+	p := &pass{Checker: c, found: make([][]Finding, len(c.rules))}
+	p.emit = func(f Finding) { p.found[p.cur] = append(p.found[p.cur], f) }
+	return p
+}
+
+// tag feeds one start or end tag to the signals and the Token hooks.
+func (p *pass) tag(t *htmlparse.Token) {
+	if t.Type == htmlparse.StartTagToken {
+		p.sig.observe(t)
+	}
+	for _, i := range p.tokenRules {
+		p.cur = i
+		p.rules[i].Token(t, p.emit)
+	}
+}
+
+// errors feeds the parse errors, in input order, to the Error hooks.
+func (p *pass) errors(errs []htmlparse.ParseError) {
+	for i := range p.rules {
+		if hook := p.rules[i].Error; hook != nil {
+			p.cur = i
+			for _, e := range errs {
+				hook(e, p.emit)
+			}
+		}
+	}
+}
+
+// stream drains a token stream over html into the pass: the tags as they
+// come, then the merged parse errors. No token is retained, so the pass
+// holds O(1) state beyond the findings.
+func (p *pass) stream(ctx context.Context, html []byte) error {
+	ts, err := htmlparse.NewTokenStream(html)
+	if err != nil {
+		return err
+	}
+	defer ts.Close()
 	// One token variable for the whole loop: its address is passed to
 	// opaque hook funcs, so it escapes — once per document, not per token.
 	var t htmlparse.Token
@@ -294,7 +282,7 @@ func (c *Checker) checkTokenStream(ctx context.Context, ts *htmlparse.TokenStrea
 			if tick++; tick >= cancelStride {
 				tick = 0
 				if err := ctx.Err(); err != nil {
-					return nil, err
+					return err
 				}
 			}
 		}
@@ -302,47 +290,38 @@ func (c *Checker) checkTokenStream(ctx context.Context, ts *htmlparse.TokenStrea
 		if t.Type == htmlparse.EOFToken {
 			break
 		}
-		if t.Type != htmlparse.StartTagToken && t.Type != htmlparse.EndTagToken {
-			continue
+		if t.Type == htmlparse.StartTagToken || t.Type == htmlparse.EndTagToken {
+			p.tag(&t)
 		}
-		if t.Type == htmlparse.StartTagToken {
-			sig.observe(&t)
+	}
+	p.errors(ts.Errors())
+	return nil
+}
+
+// report assembles a finished pass: each rule's findings in the
+// checker's rule order, the per-rule hit counts and the signals, and
+// records the instrumented counters.
+func (p *pass) report() *Report {
+	rep := &Report{RuleHits: make(map[string]int, len(p.rules)), Signals: p.sig}
+	for i := range p.rules {
+		if fs := p.found[i]; len(fs) > 0 {
+			rep.RuleHits[p.rules[i].ID] = len(fs)
+			rep.Findings = append(rep.Findings, fs...)
 		}
-		for i := range streams {
-			if streams[i].Token != nil {
-				streams[i].Token(&t, emits[i])
+	}
+	if p.pages != nil {
+		p.pages.Inc()
+		for i := range p.rules {
+			if n := rep.RuleHits[p.rules[i].ID]; n > 0 {
+				p.hits[i].Add(uint64(n))
 			}
 		}
 	}
-	for _, e := range ts.Errors() {
-		for i := range streams {
-			if streams[i].Error != nil {
-				streams[i].Error(e, emits[i])
-			}
-		}
-	}
-	return c.runRules("", sig, func(i int, _ Rule) []Finding { return found[i] }), nil
+	return rep
 }
 
-func computeSignals(p *Page) Signals {
-	var s Signals
-	for i := range p.Tokens {
-		if p.Tokens[i].Type == htmlparse.StartTagToken {
-			s.observe(&p.Tokens[i])
-		}
-	}
-	if p.Doc != nil && !s.UsesMath {
-		s.UsesMath = p.Doc.Find(func(n *htmlparse.Node) bool {
-			return n.Type == htmlparse.ElementNode && n.Data == "math"
-		}) != nil
-	}
-	return s
-}
-
-// observe folds one start tag into the signals. The streaming checker
-// calls this once per tag as it goes; computeSignals replays the recorded
-// token slice of a full parse through it, so both modes measure signals
-// with the same code.
+// observe folds one start tag into the signals. The check calls it once
+// per start tag as the tags arrive, from either source.
 //
 //hv:hotpath runs once per start tag on the constant-memory streaming path
 func (s *Signals) observe(t *htmlparse.Token) {

@@ -10,8 +10,8 @@ import (
 // streamAllocDoc builds a well-formed lowercase document of roughly `paras`
 // paragraphs with one constant violation up front (an FB1 solidus), so the
 // finding path is exercised while the body scales cleanly. Lowercase ASCII
-// keeps the tokenizer on its zero-copy spans — the regime in which
-// CheckStream's allocation count must not depend on input size.
+// keeps the tokenizer on its zero-copy spans — the regime in which a
+// streaming check's allocation count must not depend on input size.
 func streamAllocDoc(paras int) []byte {
 	var b strings.Builder
 	b.WriteString("<!doctype html><html><head><title>t</title></head><body><img//src=x>")
@@ -23,7 +23,7 @@ func streamAllocDoc(paras int) []byte {
 }
 
 // TestCheckStreamAllocsFlat is the O(1)-memory acceptance check: the
-// number of allocations per CheckStream call must be flat across a 10×
+// number of allocations per streaming Check call must be flat across a 10×
 // input-size sweep. Any per-token or per-tag allocation (token slices,
 // fresh attribute arrays, copied names) would scale with the paragraph
 // count and fail here.
@@ -31,11 +31,11 @@ func TestCheckStreamAllocsFlat(t *testing.T) {
 	c := NewStreamingChecker()
 	allocs := func(doc []byte) float64 {
 		// One warm-up run primes the TokenStream pool and scratch sizes.
-		if _, err := c.CheckStream(doc); err != nil {
+		if _, err := c.Check(doc); err != nil {
 			t.Fatal(err)
 		}
 		return testing.AllocsPerRun(50, func() {
-			if _, err := c.CheckStream(doc); err != nil {
+			if _, err := c.Check(doc); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -43,28 +43,7 @@ func TestCheckStreamAllocsFlat(t *testing.T) {
 	base := allocs(streamAllocDoc(50))
 	big := allocs(streamAllocDoc(500))
 	if big > base+4 {
-		t.Errorf("CheckStream allocations scale with input: %.1f allocs at 1x, %.1f at 10x", base, big)
-	}
-}
-
-// TestStreamingRulesHaveStreamHooks pins the catalogue invariant the
-// two-phase checker depends on: every TreeRequired=false rule must carry a
-// Stream constructor (otherwise Check would silently fall back to tree
-// mode), and tree rules must not pretend to stream.
-func TestStreamingRulesHaveStreamHooks(t *testing.T) {
-	for _, r := range Rules() {
-		if !r.TreeRequired && r.Stream == nil {
-			t.Errorf("rule %s: TreeRequired=false but no Stream hook", r.ID)
-		}
-		if r.TreeRequired && r.Stream != nil {
-			t.Errorf("rule %s: TreeRequired=true yet has a Stream hook", r.ID)
-		}
-	}
-	if NewStreamingChecker().needTree {
-		t.Error("streaming checker thinks it needs a tree")
-	}
-	if !NewChecker().needTree {
-		t.Error("full checker thinks it can skip the tree")
+		t.Errorf("streaming check allocations scale with input: %.1f allocs at 1x, %.1f at 10x", base, big)
 	}
 }
 
@@ -89,7 +68,7 @@ func BenchmarkCheckStream(b *testing.B) {
 			b.SetBytes(int64(len(data)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := c.CheckStream(data); err != nil {
+				if _, err := c.Check(data); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -97,8 +76,8 @@ func BenchmarkCheckStream(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckFull is the tree-mode counterpart, for the ablation
-// comparison in EXPERIMENTS.md.
+// BenchmarkCheckFull is the full-catalogue counterpart (one instrumented
+// tree parse), for the comparison in EXPERIMENTS.md.
 func BenchmarkCheckFull(b *testing.B) {
 	c := NewChecker()
 	for _, name := range []string{"small", "typical", "pathological"} {

@@ -29,7 +29,7 @@ func TestStreamVsFullOnCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			streamRep, err := stream.CheckStream(body)
+			streamRep, err := stream.Check(body)
 			if err != nil {
 				t.Fatal(err)
 			}

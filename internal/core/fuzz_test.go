@@ -33,7 +33,7 @@ func FuzzCheck(f *testing.F) {
 			}
 			t.Fatalf("full check: %v", err)
 		}
-		streamRep, err := stream.CheckStream(data)
+		streamRep, err := stream.Check(data)
 		if err != nil {
 			t.Fatalf("stream check: %v", err)
 		}

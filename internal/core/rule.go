@@ -39,7 +39,10 @@ const (
 )
 
 // Rule is one violation check. Rules run independently of each other over
-// the same parse, exactly as the paper's framework runs its rules.
+// the same parse, exactly as the paper's framework runs its rules. A rule
+// observes the parse through exactly one of three hooks, each appending
+// its findings via emit; the hook a rule sets decides what the checker
+// has to build for it.
 type Rule struct {
 	// ID is the paper's identifier, e.g. "DE3_1" or "FB2".
 	ID string
@@ -53,29 +56,16 @@ type Rule struct {
 	// Doc is a one-paragraph description of the attack the violation
 	// enables, with the paper section it comes from.
 	Doc string
-	// TreeRequired is false for rules decidable from the tokenizer alone
-	// (used by the streaming checker and the ablation benchmarks).
-	TreeRequired bool
-	// Check inspects one parsed page and returns all findings.
-	Check func(p *Page) []Finding
-	// Stream, set on every TreeRequired=false rule, returns fresh
-	// per-document streaming state. The streaming checker drives the hooks
-	// directly off the tokenizer so no token slice is ever materialized;
-	// Check and Stream must agree finding-for-finding (the stream≡tree
-	// metamorphic invariant), which the catalogue guarantees by deriving
-	// both from one shared hook (see tokenFindings / errorStream).
-	Stream func() RuleStream
-}
-
-// RuleStream is the per-document state of one streaming rule. Hooks are
-// optional; a nil hook is skipped. The checker calls Token for every start
-// and end tag in document order (the token — including its attribute
-// array — is only valid for the duration of the call), then Error once
-// per parse error after the stream drains. Hooks append via emit and must
-// keep O(1) state of their own so the whole pass stays constant-memory.
-type RuleStream struct {
+	// Token runs on every start and end tag in document order, while the
+	// page is parsed. The token, attributes included, is valid only
+	// during the call, and the hook keeps no state between calls.
 	Token func(t *htmlparse.Token, emit func(Finding))
+	// Error runs once per parse error, in input order, after the parse.
 	Error func(e htmlparse.ParseError, emit func(Finding))
+	// Tree runs once over the finished parse. A rule needs the parse tree
+	// exactly when it sets this hook; a checker whose rules set none
+	// never builds one.
+	Tree func(r *htmlparse.Result, emit func(Finding))
 }
 
 // Finding is one observed violation instance.
@@ -90,14 +80,6 @@ func (f Finding) String() string {
 		return fmt.Sprintf("%s at %s: %s", f.RuleID, f.Pos, f.Evidence)
 	}
 	return fmt.Sprintf("%s at %s", f.RuleID, f.Pos)
-}
-
-// Page bundles everything the rules may inspect about one document.
-type Page struct {
-	// Result is the instrumented parse.
-	*htmlparse.Result
-	// URL is the page's address, for reporting only.
-	URL string
 }
 
 // Rules returns the complete violation catalogue in Table 1 order
@@ -151,55 +133,23 @@ func GroupOf(id string) Group {
 	return ""
 }
 
-// errorFindings converts every parse error with the given code into a
-// finding for the rule.
-func errorFindings(p *Page, id string, code htmlparse.ErrorCode) []Finding {
-	var out []Finding
-	for _, e := range p.ErrorsByCode(code) {
-		out = append(out, Finding{RuleID: id, Pos: e.Pos, Evidence: e.Detail})
-	}
-	return out
-}
-
-// tokenFindings replays the recorded token slice of a full parse through a
-// streaming token hook — the bridge that lets a streaming rule's single
-// implementation serve the tree path too, so the two modes cannot drift.
-func tokenFindings(p *Page, hook func(*htmlparse.Token, func(Finding))) []Finding {
-	var out []Finding
-	emit := func(f Finding) { out = append(out, f) }
-	for i := range p.Tokens {
-		hook(&p.Tokens[i], emit)
-	}
-	return out
-}
-
-// tokenStream wraps a stateless per-token hook as a Stream constructor.
-func tokenStream(hook func(*htmlparse.Token, func(Finding))) func() RuleStream {
-	return func() RuleStream { return RuleStream{Token: hook} }
-}
-
-// errorStream builds the Stream hook of a rule whose findings are exactly
-// the parse errors carrying one code — the streaming counterpart of
-// errorFindings (both stages report a given code in the same relative
-// order, so the two paths yield identical finding sequences).
-func errorStream(id string, code htmlparse.ErrorCode) func() RuleStream {
-	return func() RuleStream {
-		return RuleStream{Error: func(e htmlparse.ParseError, emit func(Finding)) {
-			if e.Code == code {
-				emit(Finding{RuleID: id, Pos: e.Pos, Evidence: e.Detail})
-			}
-		}}
+// errorRule is the Error hook of a rule whose findings are exactly the
+// parse errors carrying one code.
+func errorRule(id string, code htmlparse.ErrorCode) func(htmlparse.ParseError, func(Finding)) {
+	return func(e htmlparse.ParseError, emit func(Finding)) {
+		if e.Code == code {
+			emit(Finding{RuleID: id, Pos: e.Pos, Evidence: e.Detail})
+		}
 	}
 }
 
-// eventFindings converts matching tree events into findings.
-func eventFindings(p *Page, id string, kind htmlparse.EventKind, match func(htmlparse.TreeEvent) bool) []Finding {
-	var out []Finding
-	for _, e := range p.EventsByKind(kind) {
-		if match != nil && !match(e) {
+// eventFindings emits a finding for every tree event of the given kind
+// that match accepts (nil accepts all).
+func eventFindings(r *htmlparse.Result, id string, kind htmlparse.EventKind, match func(htmlparse.TreeEvent) bool, emit func(Finding)) {
+	for _, e := range r.Events {
+		if e.Kind != kind || match != nil && !match(e) {
 			continue
 		}
-		out = append(out, Finding{RuleID: id, Pos: e.Pos, Evidence: e.Detail})
+		emit(Finding{RuleID: id, Pos: e.Pos, Evidence: e.Detail})
 	}
-	return out
 }

@@ -42,10 +42,9 @@ var ruleDE1 = Rule{
 	ID: "DE1", Name: "Non-terminated textarea element",
 	Doc:   "An unterminated <textarea> swallows everything to end-of-file; injected before secret content inside an attacker-supplied form, the secret submits to the attacker's server without any script running (paper §3.2.1, Figure 3).",
 	Group: DataExfiltration, Category: DefinitionViolation,
-	TreeRequired: true,
-	Check: func(p *Page) []Finding {
-		return eventFindings(p, "DE1", htmlparse.EventAutoClosedAtEOF,
-			func(e htmlparse.TreeEvent) bool { return e.Detail == "textarea" })
+	Tree: func(r *htmlparse.Result, emit func(Finding)) {
+		eventFindings(r, "DE1", htmlparse.EventAutoClosedAtEOF,
+			func(e htmlparse.TreeEvent) bool { return e.Detail == "textarea" }, emit)
 	},
 }
 
@@ -56,12 +55,11 @@ var ruleDE2 = Rule{
 	ID: "DE2", Name: "Non-terminated select and option elements",
 	Doc:   "An unterminated <select>/<option> swallows following content as plain text (tags stripped, text kept), exfiltrating it through form submission (paper §3.2.1).",
 	Group: DataExfiltration, Category: DefinitionViolation,
-	TreeRequired: true,
-	Check: func(p *Page) []Finding {
-		return eventFindings(p, "DE2", htmlparse.EventAutoClosedAtEOF,
+	Tree: func(r *htmlparse.Result, emit func(Finding)) {
+		eventFindings(r, "DE2", htmlparse.EventAutoClosedAtEOF,
 			func(e htmlparse.TreeEvent) bool {
 				return e.Detail == "select" || e.Detail == "option" || e.Detail == "optgroup"
-			})
+			}, emit)
 	},
 }
 
@@ -72,8 +70,7 @@ var ruleDE3_1 = Rule{
 	ID: "DE3_1", Name: "Non-terminated HTML: dangling markup URL",
 	Doc:   "Classic dangling markup: a URL attribute left unterminated absorbs the following markup, and the browser sends it to the attacker's origin as part of the URL. Recognized by a newline plus '<' inside a URL — exactly what Chromium blocks since 2017 (paper §3.2.2, §4.5).",
 	Group: DataExfiltration, Category: ParsingError,
-	Check:  func(p *Page) []Finding { return tokenFindings(p, de31Token) },
-	Stream: tokenStream(de31Token),
+	Token: de31Token,
 }
 
 func de31Token(t *htmlparse.Token, emit func(Finding)) {
@@ -101,8 +98,7 @@ var ruleDE3_2 = Rule{
 	ID: "DE3_2", Name: "Non-terminated HTML: script-in-attribute (nonce stealing)",
 	Doc:   "CSP nonce stealing: an unterminated attribute absorbs a following <script> tag, so its nonce now authorizes the attacker's script element. Recognized by the literal string '<script' inside an attribute value (paper Figure 2).",
 	Group: DataExfiltration, Category: ParsingError,
-	Check:  func(p *Page) []Finding { return tokenFindings(p, de32Token) },
-	Stream: tokenStream(de32Token),
+	Token: de32Token,
 }
 
 func de32Token(t *htmlparse.Token, emit func(Finding)) {
@@ -127,8 +123,7 @@ var ruleDE3_3 = Rule{
 	ID: "DE3_3", Name: "Non-terminated HTML: unclosed target attribute",
 	Doc:   "Window-name exfiltration: an unterminated target attribute absorbs following content; window names survive cross-origin navigation, so the next click hands the content to the attacker (paper Figure 5).",
 	Group: DataExfiltration, Category: ParsingError,
-	Check:  func(p *Page) []Finding { return tokenFindings(p, de33Token) },
-	Stream: tokenStream(de33Token),
+	Token: de33Token,
 }
 
 func de33Token(t *htmlparse.Token, emit func(Finding)) {
@@ -152,9 +147,8 @@ var ruleDE4 = Rule{
 	ID: "DE4", Name: "Nested form element",
 	Doc:   "A nested <form> start tag is silently dropped, so an attacker-injected earlier form decides where the victim's input is submitted (paper §3.2.2; cf. CVE-2020-29653-style credential theft).",
 	Group: DataExfiltration, Category: ParsingError,
-	TreeRequired: true,
-	Check: func(p *Page) []Finding {
-		return eventFindings(p, "DE4", htmlparse.EventNestedForm, nil)
+	Tree: func(r *htmlparse.Result, emit func(Finding)) {
+		eventFindings(r, "DE4", htmlparse.EventNestedForm, nil, emit)
 	},
 }
 

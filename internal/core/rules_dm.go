@@ -25,15 +25,13 @@ var ruleDM1 = Rule{
 	ID: "DM1", Name: "Meta tag with http-equiv outside head",
 	Doc:   "meta http-equiv can set cookies, redirect, or declare a CSP, and is only defined for <head> — yet the parser honors it anywhere in the body (paper §3.2.1, Figure 15).",
 	Group: DataManipulation, Category: DefinitionViolation,
-	AutoFixable: true, TreeRequired: true,
-	Check: func(p *Page) []Finding {
-		var out []Finding
+	AutoFixable: true,
+	Tree: func(r *htmlparse.Result, emit func(Finding)) {
 		match := func(e htmlparse.TreeEvent) bool {
 			return e.Detail == "meta" && hasAttr(e.Attr, "http-equiv")
 		}
-		out = append(out, eventFindings(p, "DM1", htmlparse.EventMetaInBody, match)...)
-		out = append(out, eventFindings(p, "DM1", htmlparse.EventMetadataAfterHead, match)...)
-		return out
+		eventFindings(r, "DM1", htmlparse.EventMetaInBody, match, emit)
+		eventFindings(r, "DM1", htmlparse.EventMetadataAfterHead, match, emit)
 	},
 }
 
@@ -44,13 +42,11 @@ var ruleDM2_1 = Rule{
 	ID: "DM2_1", Name: "Base tag outside head",
 	Doc:   "A <base> element outside <head> rewrites every later relative URL — injected, it points the page's scripts at the attacker's server (Froxlor credential theft, CVE-2020-29653).",
 	Group: DataManipulation, Category: DefinitionViolation,
-	AutoFixable: true, TreeRequired: true,
-	Check: func(p *Page) []Finding {
-		var out []Finding
-		out = append(out, eventFindings(p, "DM2_1", htmlparse.EventBaseInBody, nil)...)
-		out = append(out, eventFindings(p, "DM2_1", htmlparse.EventMetadataAfterHead,
-			func(e htmlparse.TreeEvent) bool { return e.Detail == "base" })...)
-		return out
+	AutoFixable: true,
+	Tree: func(r *htmlparse.Result, emit func(Finding)) {
+		eventFindings(r, "DM2_1", htmlparse.EventBaseInBody, nil, emit)
+		eventFindings(r, "DM2_1", htmlparse.EventMetadataAfterHead,
+			func(e htmlparse.TreeEvent) bool { return e.Detail == "base" }, emit)
 	},
 }
 
@@ -60,17 +56,12 @@ var ruleDM2_2 = Rule{
 	ID: "DM2_2", Name: "Multiple base tags",
 	Doc:   "Only one <base> per document is allowed; the parser keeps the first and ignores the rest, so an early injected base wins over the site's own (paper §3.2.1).",
 	Group: DataManipulation, Category: DefinitionViolation,
-	AutoFixable: true, TreeRequired: true,
-	Check: func(p *Page) []Finding {
-		bases := p.Doc.FindAll(func(n *htmlparse.Node) bool { return n.IsElement("base") })
-		if len(bases) < 2 {
-			return nil
+	AutoFixable: true,
+	Tree: func(r *htmlparse.Result, emit func(Finding)) {
+		bases := r.Doc.FindAll(func(n *htmlparse.Node) bool { return n.IsElement("base") })
+		for i := 1; i < len(bases); i++ {
+			emit(Finding{RuleID: "DM2_2", Pos: bases[i].Pos, Evidence: "base"})
 		}
-		var out []Finding
-		for _, b := range bases[1:] {
-			out = append(out, Finding{RuleID: "DM2_2", Pos: b.Pos, Evidence: "base"})
-		}
-		return out
 	},
 }
 
@@ -81,17 +72,16 @@ var ruleDM2_3 = Rule{
 	ID: "DM2_3", Name: "Base tag after URL-consuming element",
 	Doc:   "A <base> appearing after elements that already consumed URLs splits the document into two inconsistent URL-resolution regimes (paper §3.2.1).",
 	Group: DataManipulation, Category: DefinitionViolation,
-	AutoFixable: true, TreeRequired: true,
-	Check: func(p *Page) []Finding {
-		var out []Finding
+	AutoFixable: true,
+	Tree: func(r *htmlparse.Result, emit func(Finding)) {
 		urlSeen := false
-		p.Doc.Walk(func(n *htmlparse.Node) bool {
+		r.Doc.Walk(func(n *htmlparse.Node) bool {
 			if n.Type != htmlparse.ElementNode {
 				return true
 			}
 			if n.IsElement("base") {
 				if urlSeen {
-					out = append(out, Finding{RuleID: "DM2_3", Pos: n.Pos, Evidence: "base"})
+					emit(Finding{RuleID: "DM2_3", Pos: n.Pos, Evidence: "base"})
 				}
 				return true
 			}
@@ -103,7 +93,6 @@ var ruleDM2_3 = Rule{
 			}
 			return true
 		})
-		return out
 	},
 }
 
@@ -116,8 +105,5 @@ var ruleDM3 = Rule{
 	Doc:   "Duplicate attribute names: the parser keeps the first occurrence, so an injection placed before benign attributes overrides event handlers, ids, and classes (paper §3.2.2, Figure 14).",
 	Group: DataManipulation, Category: ParsingError,
 	AutoFixable: true,
-	Check: func(p *Page) []Finding {
-		return errorFindings(p, "DM3", htmlparse.ErrDuplicateAttribute)
-	},
-	Stream: errorStream("DM3", htmlparse.ErrDuplicateAttribute),
+	Error:       errorRule("DM3", htmlparse.ErrDuplicateAttribute),
 }

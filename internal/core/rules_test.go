@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
 	"testing"
+
+	"github.com/hvscan/hvscan/internal/htmlparse"
 )
 
 // wrap builds a minimal well-formed document around a body payload.
@@ -212,8 +215,14 @@ func TestRuleMetadata(t *testing.T) {
 			t.Fatalf("duplicate rule id %s", r.ID)
 		}
 		seen[r.ID] = true
-		if r.Check == nil {
-			t.Fatalf("%s has no check", r.ID)
+		hooks := 0
+		for _, set := range []bool{r.Token != nil, r.Error != nil, r.Tree != nil} {
+			if set {
+				hooks++
+			}
+		}
+		if hooks != 1 {
+			t.Fatalf("%s sets %d hooks, want exactly one", r.ID, hooks)
 		}
 		if len(r.Doc) < 40 {
 			t.Fatalf("%s has no substantive doc", r.ID)
@@ -260,19 +269,27 @@ func TestOnlyAutoFixable(t *testing.T) {
 }
 
 func TestStreamingCheckerSubset(t *testing.T) {
-	// The streaming checker must catch tokenizer-level rules...
-	rep, err := NewChecker().CheckStream(wrap(`<img/src=x/onerror=e><div a=1 a=2>x</div>`))
+	// The streaming checker must catch tokenizer-level rules without
+	// building a tree...
+	rep, res, err := NewStreamingChecker().CheckContext(context.Background(),
+		wrap(`<img/src=x/onerror=e><div a=1 a=2>x</div>`), htmlparse.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Violated("FB1") || !rep.Violated("DM3") {
 		t.Fatalf("streaming missed FB1/DM3: %v", rep.ViolatedIDs())
 	}
+	if res != nil {
+		t.Fatal("streaming check returned a parse tree")
+	}
 	// ...and must not attempt tree rules.
 	for _, r := range NewStreamingChecker().Rules() {
-		if r.TreeRequired {
+		if r.Tree != nil {
 			t.Fatalf("streaming checker contains tree rule %s", r.ID)
 		}
+	}
+	if NewStreamingChecker().NeedsTree() || !NewChecker().NeedsTree() {
+		t.Fatal("a checker needs the tree exactly when one of its rules has a Tree hook")
 	}
 }
 

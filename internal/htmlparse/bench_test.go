@@ -12,8 +12,10 @@ import (
 // pages, so a hot-path regression fails CI even when the full-pipeline
 // benchmarks would hide it behind archive and rule-engine time.
 //
-//	small        ~1 KB   minimal well-formed article page
-//	typical      ~48 KB  synthetic-corpus page, the pipeline's median case
+//	small        ~1 KB   minimal well-formed article page, close to the
+//	                     ~1.5 KB the synthetic corpus pages average
+//	typical      ~48 KB  large template-generated article page, well above
+//	                     the corpus average; the big page in the mix
 //	pathological ~41 KB  deep nesting, attribute storms, foster parenting,
 //	                     entity runs, long comments and raw text
 var benchPages = []string{"small", "typical", "pathological"}

@@ -12,37 +12,31 @@ import (
 // bounding the request body alone is not enough — the parse loop has
 // to observe cancellation and the open-element depth cap from inside.
 
-// ErrTreeDepthExceeded is returned by the context-aware parse entry
-// points when the document nests deeper than Options.MaxTreeDepth. It
+// ErrTreeDepthExceeded is returned by every parse that takes Options
+// when the document nests deeper than Options.MaxTreeDepth. It
 // is a property of the input, not of the service's health: handlers
 // should map it to a 4xx, never retry it.
 var ErrTreeDepthExceeded = errors.New("htmlparse: open-element depth exceeds the configured cap")
 
-// ParseReuseContext is ParseReuse bounded by ctx and opts: the tree
-// builder polls ctx between token batches and aborts with ctx.Err()
-// when the deadline passes or the caller disconnects, and enforces
-// Options.MaxTreeDepth. On abort the pooled parser's scratch state is
+// ParseReuseContext is ParseReuse bounded by ctx and configured by
+// opts: the tree builder polls ctx between token batches and aborts with
+// ctx.Err() when the deadline passes or the caller disconnects. A nil
+// ctx never cancels. On abort the pooled parser's scratch state is
 // recycled normally — an aborted parse never poisons the pool.
 func ParseReuseContext(ctx context.Context, b []byte, opts Options) (*Result, error) {
 	pre, err := Preprocess(b)
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	var cancel func() error
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		cancel = ctx.Err
 	}
 	p := getParser()
-	p.reset(pre.Input, opts)
-	p.tb.cancel = ctx.Err
-	p.tb.maxDepth = opts.MaxTreeDepth
-	p.tb.run()
-	if aerr := p.tb.abort; aerr != nil {
-		// The partial tree is abandoned with the arena; only scratch
-		// returns to the pool, exactly as after a completed parse.
-		parserPool.Put(p)
-		return nil, aerr
-	}
-	res := assemble(pre, &p.z, &p.tb, p.tb.doc)
+	res, err := p.parse(pre, opts, cancel)
 	parserPool.Put(p)
-	return res, nil
+	return res, err
 }

@@ -29,11 +29,9 @@ func (tb *treeBuilder) run() {
 			return
 		}
 		t := tb.z.Next()
-		if tb.recordTokens {
-			switch t.Type {
-			case StartTagToken, EndTagToken:
-				tb.tokens = append(tb.tokens, t)
-			}
+		if tb.onTag != nil && (t.Type == StartTagToken || t.Type == EndTagToken) {
+			tb.tag = t
+			tb.onTag(&tb.tag)
 		}
 		if tb.skipLeadingNewline {
 			tb.skipLeadingNewline = false

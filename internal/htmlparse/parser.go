@@ -14,30 +14,32 @@ package htmlparse
 
 import "sort"
 
-// Options configures Parse.
+// Options configures a parse.
 type Options struct {
-	// RecordTokens captures the tag tokens the tokenizer emitted (character
-	// tokens are omitted). The DE3 rules inspect raw attribute values from
-	// this trace, because tokens that the tree builder drops (for example a
-	// nested form) never reach the DOM.
-	RecordTokens bool
+	// OnTag, when set, is called once per start or end tag the tokenizer
+	// emits, in document order, while the tree is being built (character
+	// tokens are omitted). It sees tags the tree builder goes on to drop,
+	// such as a nested form, which never reach the DOM. The token,
+	// attributes included, is valid only during the call.
+	OnTag func(*Token)
 	// MaxTreeDepth, when positive, aborts the parse with
 	// ErrTreeDepthExceeded once the open-element stack exceeds it.
 	// Online serving sets it so adversarial deeply-nested documents
 	// fail fast instead of growing per-request state with the input;
-	// batch measurement leaves it zero (unlimited). Only honoured by
-	// the context-aware entry points (ParseReuseContext).
+	// batch measurement leaves it zero (unlimited).
 	MaxTreeDepth int
+	// Context, when non-empty, parses the input with the HTML fragment
+	// parsing algorithm (innerHTML semantics) in a context element of
+	// this name; the Result's Doc is then the fragment's root.
+	Context string
 }
 
 // Result is the complete output of one parse: the DOM, the merged parse
-// errors from all stages, the tree builder's corrective events, and
-// (optionally) the tag token trace.
+// errors from all stages, and the tree builder's corrective events.
 type Result struct {
 	Doc    *Node
 	Errors []ParseError
 	Events []TreeEvent
-	Tokens []Token
 	// Quirks reports full quirks mode; Mode carries the three-way
 	// classification (no-quirks / limited-quirks / quirks).
 	Quirks bool
@@ -52,17 +54,6 @@ func (r *Result) HasError(code ErrorCode) bool {
 		}
 	}
 	return false
-}
-
-// ErrorsByCode returns all parse errors with the given code.
-func (r *Result) ErrorsByCode(code ErrorCode) []ParseError {
-	var out []ParseError
-	for i := range r.Errors {
-		if r.Errors[i].Code == code {
-			out = append(out, r.Errors[i])
-		}
-	}
-	return out
 }
 
 // EventsByKind returns all tree events of the given kind.
@@ -82,7 +73,7 @@ func (r *Result) EventsByKind(kind EventKind) []TreeEvent {
 // other malformed input parses successfully with errors recorded in the
 // Result — error tolerance by design.
 func Parse(b []byte) (*Result, error) {
-	return ParseWithOptions(b, Options{RecordTokens: true})
+	return ParseWithOptions(b, Options{})
 }
 
 // ParseWithOptions is Parse with explicit options.
@@ -91,11 +82,7 @@ func ParseWithOptions(b []byte, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	z := NewTokenizer(pre.Input)
-	tb := newTreeBuilder(z)
-	tb.recordTokens = opts.RecordTokens
-	tb.run()
-	return assemble(pre, z, tb, tb.doc), nil
+	return new(Parser).parse(pre, opts, nil)
 }
 
 // ParseFragment parses input with the HTML fragment parsing algorithm
@@ -104,17 +91,7 @@ func ParseWithOptions(b []byte, opts Options) (*Result, error) {
 // in a mutation XSS chain. The returned Doc is the fragment's root whose
 // children are the parsed nodes.
 func ParseFragment(b []byte, context string) (*Result, error) {
-	pre, err := Preprocess(b)
-	if err != nil {
-		return nil, err
-	}
-	z := NewTokenizer(pre.Input)
-	tb := newTreeBuilder(z)
-	tb.recordTokens = true
-	root := tb.setupFragment(context)
-	tb.run()
-	res := assemble(pre, z, tb, root)
-	return res, nil
+	return ParseWithOptions(b, Options{Context: context})
 }
 
 // setupFragment arranges the tree builder for the fragment parsing
@@ -138,7 +115,7 @@ func (tb *treeBuilder) setupFragment(context string) (root *Node) {
 }
 
 func assemble(pre *Preprocessed, z *Tokenizer, tb *treeBuilder, doc *Node) *Result {
-	res := &Result{Doc: doc, Events: tb.events, Tokens: tb.tokens, Quirks: tb.quirks, Mode: tb.quirksMode}
+	res := &Result{Doc: doc, Events: tb.events, Quirks: tb.quirks, Mode: tb.quirksMode}
 	res.Errors = append(res.Errors, pre.Errors...)
 	res.Errors = append(res.Errors, z.Errors()...)
 	res.Errors = append(res.Errors, tb.errors...)

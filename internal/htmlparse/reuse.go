@@ -9,7 +9,7 @@ import "sync"
 // Only scratch is recycled between parses: the token queue, text and
 // attribute accumulators, open-element stack, active-formatting list and
 // error slices. Everything that escapes into a Result — the preprocessed
-// input buffer, the node arena slabs, the events and tokens slices — is
+// input buffer, the node arena slabs, the events slice — is
 // abandoned to the previous document on reset, so Results stay valid after
 // the parser moves on (there is no aliasing between two parses' outputs).
 type Parser struct {
@@ -37,8 +37,8 @@ func getParser() *Parser {
 }
 
 // reset re-arms the parser over a freshly preprocessed input buffer,
-// reusing scratch capacity and dropping per-document state (arena, events,
-// tokens) on the floor for the previous Result to keep.
+// reusing scratch capacity and dropping per-document state (arena,
+// events) on the floor for the previous Result to keep.
 func (p *Parser) reset(input []byte, opts Options) {
 	z := &p.z
 	*z = Tokenizer{
@@ -60,7 +60,8 @@ func (p *Parser) reset(input []byte, opts Options) {
 		mode:             modeInitial,
 		framesetOK:       true,
 		scriptingEnabled: true,
-		recordTokens:     opts.RecordTokens,
+		onTag:            opts.OnTag,
+		maxDepth:         opts.MaxTreeDepth,
 		stack:            tb.stack[:0],
 		afe:              tb.afe[:0],
 		pendingTableText: tb.pendingTableText[:0],
@@ -74,38 +75,27 @@ func (p *Parser) reset(input []byte, opts Options) {
 	}
 }
 
+// parse runs one preprocessed document through p — as a fragment when
+// opts.Context is set — and assembles its Result. cancel, when non-nil,
+// is polled between token batches. On abort (cancel's error or
+// ErrTreeDepthExceeded) the partial tree is abandoned with the arena.
+func (p *Parser) parse(pre *Preprocessed, opts Options, cancel func() error) (*Result, error) {
+	p.reset(pre.Input, opts)
+	p.tb.cancel = cancel
+	root := p.tb.doc
+	if opts.Context != "" {
+		root = p.tb.setupFragment(opts.Context)
+	}
+	p.tb.run()
+	if err := p.tb.abort; err != nil {
+		return nil, err
+	}
+	return assemble(pre, &p.z, &p.tb, root), nil
+}
+
 // ParseReuse is Parse backed by a pooled parser instance: same semantics
 // and output, amortized scratch allocations. Use it in loops that parse
 // many documents; the Result remains valid after the parser is recycled.
 func ParseReuse(b []byte) (*Result, error) {
-	return ParseReuseWithOptions(b, Options{RecordTokens: true})
-}
-
-// ParseReuseWithOptions is ParseReuse with explicit options.
-func ParseReuseWithOptions(b []byte, opts Options) (*Result, error) {
-	pre, err := Preprocess(b)
-	if err != nil {
-		return nil, err
-	}
-	p := getParser()
-	p.reset(pre.Input, opts)
-	p.tb.run()
-	res := assemble(pre, &p.z, &p.tb, p.tb.doc)
-	parserPool.Put(p)
-	return res, nil
-}
-
-// ParseFragmentReuse is ParseFragment backed by a pooled parser instance.
-func ParseFragmentReuse(b []byte, context string) (*Result, error) {
-	pre, err := Preprocess(b)
-	if err != nil {
-		return nil, err
-	}
-	p := getParser()
-	p.reset(pre.Input, Options{RecordTokens: true})
-	root := p.tb.setupFragment(context)
-	p.tb.run()
-	res := assemble(pre, &p.z, &p.tb, root)
-	parserPool.Put(p)
-	return res, nil
+	return ParseReuseContext(nil, b, Options{})
 }

@@ -1,6 +1,7 @@
 package htmlparse
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -27,7 +28,7 @@ var reuseInputs = []string{
 func resultFingerprint(t *testing.T, r *Result) string {
 	t.Helper()
 	s := DumpTree(r.Doc)
-	s += fmt.Sprintf("|quirks=%v|mode=%v|tokens=%d|events=%d", r.Quirks, r.Mode, len(r.Tokens), len(r.Events))
+	s += fmt.Sprintf("|quirks=%v|mode=%v|events=%d", r.Quirks, r.Mode, len(r.Events))
 	for _, e := range r.Errors {
 		s += fmt.Sprintf("|%s@%d:%d", e.Code, e.Pos.Line, e.Pos.Col)
 	}
@@ -67,8 +68,9 @@ func TestParseReuseMatchesParse(t *testing.T) {
 }
 
 // TestParseFragmentReuseMatchesParseFragment mirrors the document test for
-// the fragment entry point across context elements with distinct insertion
-// modes and content models.
+// the pooled fragment parse (ParseReuseContext with Options.Context)
+// across context elements with distinct insertion modes and content
+// models.
 func TestParseFragmentReuseMatchesParseFragment(t *testing.T) {
 	cases := []struct{ context, input string }{
 		{"div", "<p>a<b>b"},
@@ -84,9 +86,9 @@ func TestParseFragmentReuseMatchesParseFragment(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ParseFragment(%q): %v", c.context, err)
 			}
-			reused, err := ParseFragmentReuse([]byte(c.input), c.context)
+			reused, err := ParseReuseContext(context.Background(), []byte(c.input), Options{Context: c.context})
 			if err != nil {
-				t.Fatalf("ParseFragmentReuse(%q): %v", c.context, err)
+				t.Fatalf("pooled fragment parse (%q): %v", c.context, err)
 			}
 			if want, got := resultFingerprint(t, fresh), resultFingerprint(t, reused); want != got {
 				t.Fatalf("context %q: fragment reuse diverges\n--- fresh ---\n%s\n--- reused ---\n%s", c.context, want, got)

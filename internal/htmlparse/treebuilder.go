@@ -81,8 +81,11 @@ type treeBuilder struct {
 	errors []ParseError
 	events []TreeEvent
 
-	recordTokens bool
-	tokens       []Token
+	// onTag is Options.OnTag; tag is the copy of the current tag token
+	// it is handed, kept in the builder so the token does not escape
+	// per call.
+	onTag func(*Token)
+	tag   Token
 
 	// fragment, when non-nil, is the context element of the HTML fragment
 	// parsing algorithm; it stands in for the root as the adjusted current
@@ -108,23 +111,6 @@ type treeBuilder struct {
 	// abort is the reason run() stopped early; nil for a completed
 	// parse. When set, the partial tree must not be assembled.
 	abort error
-}
-
-func newTreeBuilder(z *Tokenizer) *treeBuilder {
-	tb := &treeBuilder{
-		z:                z,
-		mode:             modeInitial,
-		framesetOK:       true,
-		scriptingEnabled: true,
-	}
-	tb.doc = tb.newNode()
-	tb.doc.Type = DocumentNode
-	z.AutoRaw = false
-	z.AllowCDATA = func() bool {
-		n := tb.currentNode()
-		return n != nil && n.Namespace != NamespaceHTML
-	}
-	return tb
 }
 
 // ackSelfClosing implements "acknowledge the token's self-closing flag".

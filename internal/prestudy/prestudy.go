@@ -43,11 +43,10 @@ func RunDynamic(g *corpus.Generator, snap corpus.Snapshot, n int) (*DynamicResul
 		siteRules := map[string]bool{}
 		for i := 0; i < count; i++ {
 			frag := g.DynamicFragment(domain, snap, i)
-			parsed, err := htmlparse.ParseFragmentReuse(frag, "div")
+			rep, _, err := checker.CheckContext(nil, frag, htmlparse.Options{Context: "div"})
 			if err != nil {
 				return nil, err
 			}
-			rep := checker.CheckParsed(&core.Page{Result: parsed})
 			res.Fragments++
 			for _, id := range rep.ViolatedIDs() {
 				siteRules[id] = true

@@ -1,6 +1,7 @@
 package prestudy
 
 import (
+	"context"
 	"testing"
 
 	"github.com/hvscan/hvscan/internal/core"
@@ -53,11 +54,11 @@ func TestDynamicFragmentsDetectable(t *testing.T) {
 		}
 		detected := map[string]bool{}
 		for i := 0; i < count; i++ {
-			parsed, err := htmlparse.ParseFragment(g.DynamicFragment(d, snap, i), "div")
+			rep, _, err := checker.CheckContext(context.Background(), g.DynamicFragment(d, snap, i),
+				htmlparse.Options{Context: "div"})
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep := checker.CheckParsed(&core.Page{Result: parsed})
 			for _, id := range rep.ViolatedIDs() {
 				detected[id] = true
 			}

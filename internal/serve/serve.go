@@ -14,9 +14,8 @@
 //	depth-capped, panic-isolated check
 //
 // All primitives come from internal/resilience; the checker runs on
-// the constant-memory streaming path whenever its rule set allows
-// (core.Checker.NeedsTree) and on a depth-capped pooled tree parse
-// otherwise.
+// the constant-memory token stream whenever its rule set allows and on
+// a depth-capped pooled tree parse otherwise (core.Checker.CheckContext).
 package serve
 
 import (
@@ -344,8 +343,9 @@ func (s *Server) writeCheckError(w http.ResponseWriter, r *http.Request, err err
 }
 
 // check runs the document through the checker with panic isolation.
-// The streaming path is taken whenever the rule set permits; otherwise
-// a depth-capped pooled tree parse. A panic in a rule or the parser is
+// The checker streams whenever its rule set permits and otherwise
+// builds a depth-capped pooled tree; mode reports which ("stream" when
+// no parse tree came back). A panic in a rule or the parser is
 // confined to this request: the recover converts it to an error, and
 // the deferred pool release in the caller still runs.
 func (s *Server) check(ctx context.Context, body []byte) (rep *core.Report, mode string, err error) {
@@ -355,18 +355,14 @@ func (s *Server) check(ctx context.Context, body []byte) (rep *core.Report, mode
 			rep, err = nil, errCheckPanicked
 		}
 	}()
-	if !s.checker.NeedsTree() {
-		rep, err = s.checker.CheckStreamContext(ctx, body)
-		return rep, "stream", err
-	}
-	res, err := htmlparse.ParseReuseContext(ctx, body, htmlparse.Options{
-		RecordTokens: true,
-		MaxTreeDepth: s.cfg.MaxTreeDepth,
-	})
+	rep, res, err := s.checker.CheckContext(ctx, body, htmlparse.Options{MaxTreeDepth: s.cfg.MaxTreeDepth})
 	if err != nil {
-		return nil, "tree", err
+		return nil, "", err
 	}
-	return s.checker.CheckParsed(&core.Page{Result: res}), "tree", nil
+	if res == nil {
+		return rep, "stream", nil
+	}
+	return rep, "tree", nil
 }
 
 // AppliedFix is one verified repair action in a FixResponse.

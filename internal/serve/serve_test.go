@@ -167,15 +167,12 @@ func TestDrainGate(t *testing.T) {
 
 func TestPanicIsolation(t *testing.T) {
 	bomb := core.Rule{
-		ID:    "TEST_BOMB",
-		Name:  "panics on marked documents",
-		Check: func(p *core.Page) []core.Finding { return nil },
-		Stream: func() core.RuleStream {
-			return core.RuleStream{Token: func(tok *htmlparse.Token, emit func(core.Finding)) {
-				if tok.Data == "boom" {
-					panic("rule exploded")
-				}
-			}}
+		ID:   "TEST_BOMB",
+		Name: "panics on marked documents",
+		Token: func(tok *htmlparse.Token, emit func(core.Finding)) {
+			if tok.Data == "boom" {
+				panic("rule exploded")
+			}
 		},
 	}
 	s := New(Config{Checker: core.NewCheckerWith(bomb)})
