@@ -50,11 +50,12 @@ fix-conform-update:
 	$(GO) run ./cmd/hvfix -corpus internal/autofix/testdata -update
 	$(MAKE) fix-conform
 
-# Metamorphic fuzz smoke: 30s per oracle-free invariant (render→reparse
-# fixpoint, truncation stability, attribute-order invariance, decoder
-# agreement, stream≡tree checker equivalence) over the checked-in seed
-# corpora.
+# Fuzz smoke: 30s per oracle-free invariant (render→reparse fixpoint,
+# truncation stability, attribute-order invariance, decoder agreement,
+# stream≡tree checker equivalence, fix idempotence and monotonicity)
+# and 10s of the WARC record decoder, over the checked-in seed corpora.
 fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz='^FuzzReadRecordAt$$' -fuzztime=10s ./internal/warc
 	$(GO) test -run '^$$' -fuzz='^FuzzRenderParseFixpoint$$' -fuzztime=30s ./internal/conformance
 	$(GO) test -run '^$$' -fuzz='^FuzzTruncationStability$$' -fuzztime=30s ./internal/conformance
 	$(GO) test -run '^$$' -fuzz='^FuzzAttrReorderInvariance$$' -fuzztime=30s ./internal/conformance

@@ -62,6 +62,7 @@ func (p *Parser) reset(input []byte, opts Options) {
 		scriptingEnabled: true,
 		onTag:            opts.OnTag,
 		maxDepth:         opts.MaxTreeDepth,
+		arena:            nodeArena{next: firstSlab(len(input))},
 		stack:            tb.stack[:0],
 		afe:              tb.afe[:0],
 		pendingTableText: tb.pendingTableText[:0],

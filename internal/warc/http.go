@@ -1,10 +1,8 @@
 package warc
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 )
@@ -58,12 +56,12 @@ func splitURL(rawURL string) (host, path string) {
 	return u, "/"
 }
 
-// ParseHTTPResponse splits a response block into status, headers, body.
+// ParseHTTPResponse splits a response block into status, headers and
+// body. The Body aliases block.
 func ParseHTTPResponse(block []byte) (*HTTPResponse, error) {
-	br := bufio.NewReader(bytes.NewReader(block))
-	statusLine, err := readLine(br)
-	if err != nil {
-		return nil, fmt.Errorf("%w: http status line: %v", ErrMalformed, err)
+	statusLine, rest, ok := cutLine(block)
+	if !ok {
+		return nil, fmt.Errorf("%w: empty http block", ErrMalformed)
 	}
 	parts := strings.SplitN(statusLine, " ", 3)
 	if len(parts) < 2 || !strings.HasPrefix(parts[0], "HTTP/") {
@@ -78,14 +76,8 @@ func ParseHTTPResponse(block []byte) (*HTTPResponse, error) {
 		resp.Status = parts[2]
 	}
 	for {
-		line, err := readLine(br)
-		if err != nil {
-			if err == io.EOF {
-				break
-			}
-			return nil, err
-		}
-		if line == "" {
+		var line string
+		if line, rest, ok = cutLine(rest); !ok || line == "" {
 			break
 		}
 		name, value, ok := strings.Cut(line, ":")
@@ -94,11 +86,7 @@ func ParseHTTPResponse(block []byte) (*HTTPResponse, error) {
 		}
 		resp.Headers.Set(strings.TrimSpace(name), strings.TrimSpace(value))
 	}
-	body, err := io.ReadAll(br)
-	if err != nil {
-		return nil, err
-	}
-	resp.Body = body
+	resp.Body = rest[:len(rest):len(rest)]
 	return resp, nil
 }
 

@@ -8,13 +8,16 @@ package warc
 import (
 	"bufio"
 	"bytes"
+	"compress/flate"
 	"compress/gzip"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -247,6 +250,7 @@ func (w *Writer) Write(r *Record) (offset, length int64, err error) {
 // handling per-record gzip members.
 type Reader struct {
 	br *bufio.Reader
+	gz gzip.Reader // reset for each member
 }
 
 // NewReader returns a Reader over r.
@@ -258,31 +262,18 @@ func NewReader(r io.Reader) *Reader {
 func (r *Reader) Next() (*Record, error) {
 	peek, err := r.br.Peek(2)
 	if err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
 		return nil, err
 	}
-	if peek[0] == 0x1f && peek[1] == 0x8b {
-		gz, err := gzip.NewReader(r.br)
+	if isGzip(peek) {
+		// The inflater reads r.br a byte at a time, so it stops at the
+		// member's end and the next Peek lands on the next gzip header.
+		member, err := inflate(&r.gz, r.br, 0)
 		if err != nil {
 			return nil, err
 		}
-		gz.Multistream(false)
-		rec, err := readRecord(bufio.NewReader(gz))
-		if err != nil {
-			return nil, err
-		}
-		// Drain the member so the next Peek lands on the next gzip header.
-		if _, err := io.Copy(io.Discard, gz); err != nil {
-			return nil, err
-		}
-		if err := gz.Close(); err != nil {
-			return nil, err
-		}
-		return rec, nil
+		return parseRecord(member)
 	}
-	return readRecord(r.br)
+	return readPlainRecord(r.br)
 }
 
 // ReadAll drains the stream into a slice of records.
@@ -300,53 +291,117 @@ func (r *Reader) ReadAll() ([]*Record, error) {
 	}
 }
 
+// inflater is the pooled decoder state of ReadRecordAt: a gzip reader
+// (whose flate decompressor keeps its 32 KiB window across resets) and
+// the byte source it reads a member from.
+type inflater struct {
+	src bytes.Reader
+	gz  gzip.Reader
+}
+
+var inflaters = sync.Pool{New: func() any { return new(inflater) }}
+
+// maxSizeHint caps the output buffer ReadRecordAt sizes from a member's
+// ISIZE trailer, a field only as trustworthy as the input.
+const maxSizeHint = 1 << 20
+
 // ReadRecordAt decodes the single record stored at data[offset:offset+length]
 // — how a Common Crawl client materializes one page from an S3 range read.
+// The returned record never aliases data.
 func ReadRecordAt(data []byte, offset, length int64) (*Record, error) {
 	if offset < 0 || length <= 0 || offset+length > int64(len(data)) {
 		return nil, fmt.Errorf("%w: range [%d,%d) outside %d bytes", ErrMalformed, offset, offset+length, len(data))
 	}
-	return NewReader(bytes.NewReader(data[offset : offset+length])).Next()
-}
-
-func readRecord(br *bufio.Reader) (*Record, error) {
-	line, err := readLine(br)
-	if err != nil {
-		return nil, err
-	}
-	// Tolerate leading blank lines between records.
-	for line == "" {
-		line, err = readLine(br)
+	b := data[offset : offset+length]
+	if !isGzip(b) {
+		rec, err := parseRecord(b)
 		if err != nil {
 			return nil, err
 		}
+		rec.Block = bytes.Clone(rec.Block)
+		return rec, nil
 	}
-	if !strings.HasPrefix(line, "WARC/") {
-		return nil, fmt.Errorf("%w: bad version line %q", ErrMalformed, line)
+	hint := 0
+	if len(b) >= 4 {
+		hint = int(min(binary.LittleEndian.Uint32(b[len(b)-4:]), maxSizeHint))
 	}
-	rec := &Record{}
+	inf := inflaters.Get().(*inflater)
+	inf.src.Reset(b)
+	member, err := inflate(&inf.gz, &inf.src, hint)
+	inf.src.Reset(nil) // the pool must not pin data
+	inflaters.Put(inf)
+	if err != nil {
+		return nil, err
+	}
+	return parseRecord(member)
+}
+
+func isGzip(b []byte) bool { return len(b) >= 2 && b[0] == 0x1f && b[1] == 0x8b }
+
+// inflate decompresses the gzip member at the head of src into a fresh
+// buffer sized for hint bytes (the spare byte lets an exact hint see EOF
+// without growing). It reads to the member's end, so the CRC-32 and
+// ISIZE trailer checks run, and leaves src just past it.
+func inflate(gz *gzip.Reader, src flate.Reader, hint int) ([]byte, error) {
+	if err := gz.Reset(src); err != nil {
+		return nil, fmt.Errorf("%w: gzip: %w", ErrMalformed, err)
+	}
+	gz.Multistream(false)
+	buf := make([]byte, 0, max(hint+1, 512))
 	for {
-		line, err = readLine(br)
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := gz.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
 		if err != nil {
-			return nil, fmt.Errorf("%w: header: %v", ErrMalformed, err)
+			return nil, fmt.Errorf("%w: gzip: %w", ErrMalformed, err)
 		}
-		if line == "" {
-			break
-		}
-		name, value, ok := strings.Cut(line, ":")
+	}
+}
+
+// parseRecord parses the uncompressed record at the head of b. The
+// Block aliases b and is bounded by it: a Content-Length larger than the
+// bytes present is malformed, never an allocation.
+func parseRecord(b []byte) (*Record, error) {
+	rec, n, err := parseHead(func() (string, error) {
+		line, rest, ok := cutLine(b)
 		if !ok {
-			return nil, fmt.Errorf("%w: header line %q", ErrMalformed, line)
+			return "", io.EOF
 		}
-		rec.Headers.Set(strings.TrimSpace(name), strings.TrimSpace(value))
+		b = rest
+		return line, nil
+	})
+	if err == io.EOF {
+		return nil, fmt.Errorf("%w: no record", ErrMalformed)
 	}
-	n, err := strconv.ParseInt(rec.Headers.Get(HeaderContentLength), 10, 64)
-	if err != nil || n < 0 {
-		return nil, fmt.Errorf("%w: content-length %q", ErrMalformed, rec.Headers.Get(HeaderContentLength))
+	if err != nil {
+		return nil, err
 	}
-	rec.Block = make([]byte, n)
-	if _, err := io.ReadFull(br, rec.Block); err != nil {
+	if n > int64(len(b)) {
+		return nil, fmt.Errorf("%w: block: content-length %d exceeds the %d bytes present", ErrMalformed, n, len(b))
+	}
+	rec.Block = b[:n:n]
+	return rec, nil
+}
+
+// readPlainRecord reads one uncompressed record from a stream.
+func readPlainRecord(br *bufio.Reader) (*Record, error) {
+	rec, n, err := parseHead(func() (string, error) { return readLine(br) })
+	if err != nil {
+		return nil, err
+	}
+	// Grow the block as its bytes arrive, so a Content-Length the stream
+	// cannot back costs no more memory than the stream holds.
+	var block bytes.Buffer
+	block.Grow(int(min(n, 64<<10)))
+	if _, err := io.CopyN(&block, br, n); err != nil {
 		return nil, fmt.Errorf("%w: block: %v", ErrMalformed, err)
 	}
+	rec.Block = block.Bytes()
 	// Trailing CRLF CRLF (tolerated if absent at EOF).
 	for i := 0; i < 4; i++ {
 		b, err := br.ReadByte()
@@ -361,10 +416,60 @@ func readRecord(br *bufio.Reader) (*Record, error) {
 	return rec, nil
 }
 
+// parseHead parses a record's version line and named fields from the
+// lines next returns, and the block length its Content-Length declares.
+// Leading blank lines are skipped; an input that ends before the version
+// line returns io.EOF.
+func parseHead(next func() (string, error)) (*Record, int64, error) {
+	line, err := next()
+	for err == nil && line == "" {
+		line, err = next()
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	if !strings.HasPrefix(line, "WARC/") {
+		return nil, 0, fmt.Errorf("%w: bad version line %q", ErrMalformed, line)
+	}
+	rec := &Record{}
+	for {
+		line, err = next()
+		if err != nil {
+			return nil, 0, fmt.Errorf("%w: header: %v", ErrMalformed, err)
+		}
+		if line == "" {
+			break
+		}
+		name, value, ok := strings.Cut(line, ":")
+		if !ok {
+			return nil, 0, fmt.Errorf("%w: header line %q", ErrMalformed, line)
+		}
+		rec.Headers.Set(strings.TrimSpace(name), strings.TrimSpace(value))
+	}
+	n, err := strconv.ParseInt(rec.Headers.Get(HeaderContentLength), 10, 64)
+	if err != nil || n < 0 {
+		return nil, 0, fmt.Errorf("%w: content-length %q", ErrMalformed, rec.Headers.Get(HeaderContentLength))
+	}
+	return rec, n, nil
+}
+
 func readLine(br *bufio.Reader) (string, error) {
 	line, err := br.ReadString('\n')
 	if err != nil && line == "" {
 		return "", err
 	}
 	return strings.TrimRight(line, "\r\n"), nil
+}
+
+// cutLine splits the first line off b with its terminator dropped, as
+// readLine does on a stream. ok is false when b is empty.
+func cutLine(b []byte) (line string, rest []byte, ok bool) {
+	if len(b) == 0 {
+		return "", b, false
+	}
+	end, next := len(b), len(b)
+	if i := bytes.IndexByte(b, '\n'); i >= 0 {
+		end, next = i, i+1
+	}
+	return string(bytes.TrimRight(b[:end], "\r")), b[next:], true
 }
