@@ -1,6 +1,6 @@
 // Command hvbench records and gates the repo's benchmark trajectory:
-// the parser hot path, the streaming checker, the archive cache, and
-// the serving layer's end-to-end request latency.
+// the parser hot path, the streaming checker, the disk archive read,
+// and the serving layer's end-to-end request latency.
 //
 // It runs the selected benchmarks through `go test -json -bench`, folds
 // the event stream into the stable schema of internal/perf, and either

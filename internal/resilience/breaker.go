@@ -2,6 +2,7 @@ package resilience
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 )
@@ -34,9 +35,10 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
-// ErrBreakerOpen is returned by Allow (and Do) while the breaker sheds
-// load. It classifies as retryable: the caller's backoff naturally
-// spaces out re-probes of a recovering backend.
+// ErrBreakerOpen is wrapped by every error Allow (and Do) returns while
+// the breaker sheds load, next to the failure that tripped it. It
+// classifies as retryable: the caller's backoff naturally spaces out
+// re-probes of a recovering backend.
 var ErrBreakerOpen = errors.New("resilience: circuit breaker open")
 
 // BreakerConfig tunes a Breaker. The zero value gives sane defaults.
@@ -70,6 +72,7 @@ type Breaker struct {
 	state    BreakerState
 	failures int       // consecutive retryable failures while closed
 	openedAt time.Time // when the breaker last opened
+	cause    error     // the failure that last opened the breaker
 	probes   int       // in-flight probes while half-open
 }
 
@@ -111,24 +114,26 @@ func (b *Breaker) transition(to BreakerState) {
 	}
 }
 
-// Allow asks whether a call may proceed; it returns ErrBreakerOpen when
-// the call should be shed. Every Allow that returns nil MUST be paired
-// with exactly one Record — the half-open state counts in-flight
-// probes.
+// Allow asks whether a call may proceed. When the call should be shed
+// it returns an error that matches both ErrBreakerOpen and the failure
+// that tripped the breaker under errors.Is, so a shed call fails with
+// the backend's fault rather than a bare "open". Every Allow that
+// returns nil MUST be paired with exactly one Record — the half-open
+// state counts in-flight probes.
 func (b *Breaker) Allow() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
 	case StateOpen:
 		if b.cfg.Now().Sub(b.openedAt) < b.cfg.Cooldown {
-			return ErrBreakerOpen
+			return b.shedErr()
 		}
 		b.transition(StateHalfOpen)
 		b.probes = 0
 		fallthrough
 	case StateHalfOpen:
 		if b.probes >= b.cfg.HalfOpenProbes {
-			return ErrBreakerOpen
+			return b.shedErr()
 		}
 		b.probes++
 	}
@@ -151,14 +156,14 @@ func (b *Breaker) Record(err error) {
 		}
 		b.failures++
 		if b.failures >= b.cfg.FailureThreshold {
-			b.open()
+			b.open(err)
 		}
 	case StateHalfOpen:
 		if b.probes > 0 {
 			b.probes--
 		}
 		if failure {
-			b.open()
+			b.open(err)
 			return
 		}
 		b.transition(StateClosed)
@@ -169,16 +174,26 @@ func (b *Breaker) Record(err error) {
 	}
 }
 
-// open trips the breaker; the caller holds the lock.
-func (b *Breaker) open() {
+// open trips the breaker on the retryable failure cause; the caller
+// holds the lock.
+func (b *Breaker) open(cause error) {
 	b.transition(StateOpen)
 	b.openedAt = b.cfg.Now()
+	b.cause = cause
 	b.failures = 0
 	b.probes = 0
 }
 
+// shedErr wraps ErrBreakerOpen and the tripping failure. The cause
+// classified as retryable when it opened the breaker and the sentinel
+// carries no mark, so Classify still answers ClassRetryable. The caller
+// holds the lock.
+func (b *Breaker) shedErr() error {
+	return fmt.Errorf("%w: %w", ErrBreakerOpen, b.cause)
+}
+
 // Do guards one call: shed if the breaker is open, otherwise run f and
-// record its outcome. The shed error is ErrBreakerOpen.
+// record its outcome. The shed error is the one Allow returns.
 func (b *Breaker) Do(f func() error) error {
 	if err := b.Allow(); err != nil {
 		return err

@@ -50,6 +50,46 @@ func TestBreakerOpensAfterConsecutiveFailures(t *testing.T) {
 	}
 }
 
+// TestBreakerShedErrorCarriesCause pins what a shed call reports: the
+// sentinel plus the failure that tripped the breaker, open or
+// half-open, so a caller that fails on a shed still sees the backend's
+// fault. A failed probe replaces the cause, and the shed stays
+// retryable even when the cause is a status error.
+func TestBreakerShedErrorCarriesCause(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	b := NewBreaker(BreakerConfig{FailureThreshold: 2, Cooldown: time.Minute, Now: clk.now})
+	_ = b.Do(func() error { return errDown })
+	_ = b.Do(func() error { return errDown })
+	shed := func(want error) {
+		t.Helper()
+		err := b.Allow()
+		if !errors.Is(err, ErrBreakerOpen) || !errors.Is(err, want) {
+			t.Fatalf("shed error %v must match ErrBreakerOpen and %v", err, want)
+		}
+		if c := Classify(err); c != ClassRetryable {
+			t.Fatalf("shed error classifies as %v, want retryable", c)
+		}
+	}
+	shed(errDown)
+
+	// Half-open with its one probe in flight: the second call sheds
+	// with the same cause.
+	clk.advance(61 * time.Second)
+	if err := b.Allow(); err != nil {
+		t.Fatalf("probe refused: %v", err)
+	}
+	shed(errDown)
+
+	// The probe fails with a different fault: that one reopened the
+	// breaker, so it is what later sheds carry.
+	probeErr := &statusErr{code: 503}
+	b.Record(probeErr)
+	shed(probeErr)
+	if errors.Is(b.Allow(), errDown) {
+		t.Fatal("shed error kept the stale cause after a reopen")
+	}
+}
+
 func TestBreakerSuccessResetsFailureRun(t *testing.T) {
 	b := NewBreaker(BreakerConfig{FailureThreshold: 3})
 	for i := 0; i < 10; i++ {

@@ -67,9 +67,6 @@ type Config struct {
 	// per-tenant limiting (benchmarks, trusted single-tenant loads).
 	TenantRate  float64
 	TenantBurst float64
-	// MaxTenants caps the tracked-tenant map
-	// (default resilience.DefaultMaxTenants).
-	MaxTenants int
 
 	// Archive, when set, enables GET /v1/archive-check: fetch captures
 	// of a domain from the archive and check them. The endpoint is
@@ -182,7 +179,7 @@ func New(cfg Config) *Server {
 		drainHint:  time.Second,
 	}
 	if cfg.TenantRate > 0 {
-		s.tenants = resilience.NewBuckets(cfg.TenantRate, cfg.TenantBurst, cfg.MaxTenants)
+		s.tenants = resilience.NewBuckets(cfg.TenantRate, cfg.TenantBurst, resilience.DefaultMaxTenants)
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/check", s.handleCheck)
