@@ -66,9 +66,11 @@ fuzz-smoke:
 
 # Chaos smoke: the seeded fault-injection acceptance tests (~10%
 # transient faults, deterministic schedule) under the race detector —
-# budget compliance, crash-and-resume equivalence, breaker behavior.
+# budget compliance, crash-and-resume equivalence, breaker behavior —
+# then a 100-iteration run of the resilience overhead benchmarks.
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos|TestResume|TestBreaker' ./internal/crawler ./internal/commoncrawl
+	$(GO) test -run '^$$' -bench 'BenchmarkPolicyDoHappyPath|BenchmarkBreakerHappyPath|BenchmarkPolicyAndBreakerComposed' -benchtime=100x ./internal/resilience
 
 # Serving-layer chaos: the hvserve acceptance suite (overload bursts,
 # slowloris bodies, mid-request disconnects, hostile nesting, graceful

@@ -74,11 +74,19 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	var ids []string
+	checker := core.NewChecker()
 	if *rules != "" {
-		ids = strings.Split(*rules, ",")
+		var rs []core.Rule
+		for _, id := range strings.Split(*rules, ",") {
+			r, ok := core.RuleByID(id)
+			if !ok {
+				fmt.Fprintf(stderr, "hvcheck: unknown rule %q (-list prints the catalogue)\n", id)
+				return 2
+			}
+			rs = append(rs, r)
+		}
+		checker = core.NewCheckerWith(rs...)
 	}
-	checker := core.NewChecker(ids...)
 	if *stream {
 		// Keep the rules that need no tree, so the check streams.
 		var rs []core.Rule

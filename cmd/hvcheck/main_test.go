@@ -78,6 +78,15 @@ func TestCheckRuleFilter(t *testing.T) {
 	}
 }
 
+func TestCheckUnknownRule(t *testing.T) {
+	// A mistyped ID must not leave a checker with no rules that passes
+	// every document.
+	code, out, errb := runCheck(t, `<h1 class=a class=b>`, "-rules", "DM33")
+	if code != 2 || out != "" || !strings.Contains(errb, `"DM33"`) {
+		t.Fatalf("unknown rule: code=%d out=%q err=%q", code, out, errb)
+	}
+}
+
 func TestCheckStreamMode(t *testing.T) {
 	code, out, _ := runCheck(t, `<img/src=x>`, "-stream")
 	if code != 1 || !strings.Contains(out, "FB1") {

@@ -13,19 +13,12 @@
 // captures straight out of a Common Crawl-shaped archive behind a
 // circuit breaker.
 //
-// With -loadgen it turns into the load generator instead: it offers
-// corpus-page traffic to -url at one or more rates and prints a
-// latency/shed summary per rate — the source of EXPERIMENTS.md's
-// latency-vs-QPS curve.
-//
 // Usage:
 //
 //	hvserve [-addr :8811] [-stream] [-rules FB1,DE3_1]
 //	        [-max-body-mb 2] [-max-depth 512] [-timeout 2s]
 //	        [-workers 0] [-queue 0] [-tenant-rate 100]
 //	        [-archive-dir DIR | -archive-synthetic] [-drain 30s]
-//	hvserve -loadgen -url http://127.0.0.1:8811/v1/check \
-//	        [-qps 0 | -sweep 50,100,200,400] [-c 8] [-duration 5s]
 package main
 
 import (
@@ -35,7 +28,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -67,35 +59,28 @@ func main() {
 		archiveSyn = flag.Bool("archive-synthetic", false, "enable /v1/archive-check over the synthetic archive")
 		domains    = flag.Int("domains", 2400, "synthetic archive: domain universe size")
 		maxPages   = flag.Int("pages", 20, "synthetic archive: max pages per domain")
-		seed       = flag.Int64("seed", 22, "synthetic archive / loadgen corpus seed")
-
-		loadgen  = flag.Bool("loadgen", false, "run as load generator instead of server")
-		url      = flag.String("url", "http://127.0.0.1:8811/v1/check", "loadgen: target endpoint")
-		qps      = flag.Float64("qps", 0, "loadgen: offered rate (0 = closed loop)")
-		sweep    = flag.String("sweep", "", "loadgen: comma-separated QPS list; runs one pass per rate")
-		conc     = flag.Int("c", 8, "loadgen: concurrent workers")
-		duration = flag.Duration("duration", 5*time.Second, "loadgen: run length per rate")
-		pages    = flag.Int("loadgen-pages", 64, "loadgen: distinct corpus bodies")
+		seed       = flag.Int64("seed", 22, "synthetic archive seed")
 	)
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *loadgen {
-		if err := runLoadgen(ctx, *url, *sweep, *qps, *conc, *duration, *seed, *pages); err != nil {
-			fmt.Fprintln(os.Stderr, "hvserve:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	var checker *core.Checker
 	switch {
 	case *stream:
 		checker = core.NewStreamingChecker()
 	case *rules != "":
-		checker = core.NewChecker(strings.Split(*rules, ",")...)
+		var rs []core.Rule
+		for _, id := range strings.Split(*rules, ",") {
+			r, ok := core.RuleByID(id)
+			if !ok {
+				fmt.Fprintf(os.Stderr, "hvserve: unknown rule %q (hvcheck -list prints the catalogue)\n", id)
+				os.Exit(2)
+			}
+			rs = append(rs, r)
+		}
+		checker = core.NewCheckerWith(rs...)
 	}
 	cfg := serve.Config{
 		Checker:             checker,
@@ -141,43 +126,3 @@ func main() {
 	}
 	log.Printf("drained cleanly")
 }
-
-// runLoadgen offers traffic at each rate in the sweep (or the single
-// -qps) and prints one summary line per rate, TSV so the numbers paste
-// straight into EXPERIMENTS.md.
-func runLoadgen(ctx context.Context, url, sweep string, qps float64, conc int, duration time.Duration, seed int64, pages int) error {
-	rates := []float64{qps}
-	if sweep != "" {
-		rates = rates[:0]
-		for _, s := range strings.Split(sweep, ",") {
-			r, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-			if err != nil {
-				return fmt.Errorf("bad -sweep entry %q: %w", s, err)
-			}
-			rates = append(rates, r)
-		}
-	}
-	fmt.Println("qps_offered\tqps_achieved\trequests\tok\tshed\terrors\tp50_ms\tp95_ms\tp99_ms\tmax_ms")
-	for _, r := range rates {
-		res, err := serve.Load(ctx, serve.LoadConfig{
-			URL:         url,
-			QPS:         r,
-			Concurrency: conc,
-			Duration:    duration,
-			Seed:        seed,
-			Pages:       pages,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%.0f\t%.1f\t%d\t%d\t%d\t%d\t%.2f\t%.2f\t%.2f\t%.2f\n",
-			r, res.AchievedQPS, res.Requests, res.Status[200], res.Shed, res.Errors,
-			ms(res.P50), ms(res.P95), ms(res.P99), ms(res.Max))
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	return nil
-}
-
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

@@ -104,6 +104,7 @@ type snapshotFingerprint struct {
 	PagesFound    int
 	PagesAnalyzed int
 	DomainsFailed int
+	FailedByClass map[string]int
 	Failed        []store.FailedDomain // sorted by domain
 	Stored        map[string]string    // domain -> violations digest
 }
@@ -113,6 +114,7 @@ func fingerprint(stats SnapshotStats, st *store.Store) snapshotFingerprint {
 		Analyzed: stats.Analyzed, Found: stats.Found,
 		PagesFound: stats.PagesFound, PagesAnalyzed: stats.PagesAnalyzed,
 		DomainsFailed: stats.DomainsFailed,
+		FailedByClass: stats.FailedByClass,
 		Failed:        append([]store.FailedDomain(nil), stats.Failed...),
 		Stored:        make(map[string]string),
 	}

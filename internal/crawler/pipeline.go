@@ -264,7 +264,11 @@ func (p *Pipeline) RunSnapshot(ctx context.Context, crawl string, domains []stri
 		if p.cfg.Journal != nil {
 			if e, ok := p.cfg.Journal.Entry(crawl, d); ok {
 				done++
-				p.replay(e, &stats)
+				m.DomainsResumed.Inc()
+				stats.DomainsResumed++
+				if absorb(e, &stats) {
+					p.store.Put(e.Result)
+				}
 				if p.cfg.Progress != nil {
 					p.cfg.Progress(crawl, d, done, total)
 				}
@@ -338,53 +342,25 @@ func (p *Pipeline) RunSnapshot(ctx context.Context, crawl string, domains []stri
 			continue
 		}
 		done++
+		e := store.JournalEntry{Crawl: crawl, Domain: dr.Domain, Result: dr}
 		if o.err != nil {
 			m.DomainErrors.Inc()
 			m.Res.ObserveError(o.class)
-			stats.DomainsFailed++
-			if stats.FailedByClass == nil {
-				stats.FailedByClass = make(map[string]int)
-			}
-			stats.FailedByClass[o.class.String()]++
-			// The partial work still counts: pages measured before the
-			// fault are real measurements (see FailedDomain).
-			stats.PagesFound += dr.PagesFound
-			stats.PagesAnalyzed += dr.PagesAnalyzed
-			stats.AbsorbFix(dr)
-			fd := store.FailedDomain{
-				Domain: dr.Domain, Class: o.class.String(), Err: truncErr(o.err),
-				PagesFound: dr.PagesFound, PagesAnalyzed: dr.PagesAnalyzed,
-			}
-			stats.Failed = append(stats.Failed, fd)
-			if jerr := p.journal(store.JournalEntry{
-				Crawl: crawl, Domain: dr.Domain,
-				Failed: true, Class: fd.Class, Error: fd.Err, Result: dr,
-			}); jerr != nil && failErr == nil {
-				failErr = jerr
-				cancel()
-			}
-			noteFailure(o)
-			if p.cfg.Progress != nil {
-				p.cfg.Progress(crawl, dr.Domain, done, total)
-			}
-			continue
+			e.Failed, e.Class, e.Error = true, o.class.String(), truncErr(o.err)
+		} else {
+			m.DomainsDone.Inc()
 		}
-		m.DomainsDone.Inc()
-		if dr.PagesFound > 0 {
-			stats.Found++
-		}
-		if dr.Analyzed() {
-			stats.Analyzed++
+		if absorb(e, &stats) {
 			t0 := time.Now()
 			p.store.Put(dr)
 			m.observeStage("store", t0)
 		}
-		stats.PagesFound += dr.PagesFound
-		stats.PagesAnalyzed += dr.PagesAnalyzed
-		stats.AbsorbFix(dr)
-		if jerr := p.journal(store.JournalEntry{Crawl: crawl, Domain: dr.Domain, Result: dr}); jerr != nil && failErr == nil {
+		if jerr := p.journal(e); jerr != nil && failErr == nil {
 			failErr = jerr
 			cancel()
+		}
+		if o.err != nil {
+			noteFailure(o)
 		}
 		if p.cfg.Progress != nil {
 			p.cfg.Progress(crawl, dr.Domain, done, total)
@@ -409,11 +385,13 @@ func (p *Pipeline) journal(e store.JournalEntry) error {
 	return nil
 }
 
-// replay folds one journaled completion into the stats (and, for
-// analyzed domains, the store) exactly as the live path would have.
-func (p *Pipeline) replay(e store.JournalEntry, stats *SnapshotStats) {
-	p.metrics.DomainsResumed.Inc()
-	stats.DomainsResumed++
+// absorb folds one finished domain, measured live or read back from
+// the resume journal, into the snapshot stats and failure ledger, and
+// reports whether its result belongs in the store (the caller puts it,
+// so only live puts are timed as the store stage). A failed domain's
+// partial work still counts: pages measured before the fault are real
+// measurements (see FailedDomain).
+func absorb(e store.JournalEntry, stats *SnapshotStats) (put bool) {
 	dr := e.Result
 	if e.Failed {
 		stats.DomainsFailed++
@@ -424,26 +402,23 @@ func (p *Pipeline) replay(e store.JournalEntry, stats *SnapshotStats) {
 		fd := store.FailedDomain{Domain: e.Domain, Class: e.Class, Err: e.Error}
 		if dr != nil {
 			fd.PagesFound, fd.PagesAnalyzed = dr.PagesFound, dr.PagesAnalyzed
-			stats.PagesFound += dr.PagesFound
-			stats.PagesAnalyzed += dr.PagesAnalyzed
-			stats.AbsorbFix(dr)
 		}
 		stats.Failed = append(stats.Failed, fd)
-		return
+	} else if dr != nil {
+		if dr.PagesFound > 0 {
+			stats.Found++
+		}
+		if dr.Analyzed() {
+			stats.Analyzed++
+			put = true
+		}
 	}
-	if dr == nil {
-		return
+	if dr != nil {
+		stats.PagesFound += dr.PagesFound
+		stats.PagesAnalyzed += dr.PagesAnalyzed
+		stats.AbsorbFix(dr)
 	}
-	if dr.PagesFound > 0 {
-		stats.Found++
-	}
-	if dr.Analyzed() {
-		stats.Analyzed++
-		p.store.Put(dr)
-	}
-	stats.PagesFound += dr.PagesFound
-	stats.PagesAnalyzed += dr.PagesAnalyzed
-	stats.AbsorbFix(dr)
+	return put
 }
 
 // truncErr caps an error message for the stats ledger (a recovered
